@@ -10,7 +10,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import detie as detie_mod
 from . import montecarlo as mc

@@ -13,15 +13,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import DataError, FeasibilityError, GevParams, as_sample, kolmogorov_cdf
-from .gev_maps import GevMapKind, approx_map_rows, jacobian, map_triple
+from .gev_maps import PARAMS, GevMapKind, approx_map_rows, jacobian, map_triple
 from .moments import (
     GPWM,
     PWM,
     Estimator,
+    MomentTriple,
     WeightFamily,
     b_hat,
     beta_hat,
@@ -30,7 +32,7 @@ from .moments import (
     prefix_suffix_moments,
 )
 
-TARGETS = ("mu", "sigma", "xi")
+TARGETS = PARAMS
 
 
 class Family(enum.Enum):
@@ -140,19 +142,6 @@ def recenter(sample, config: TestConfig) -> np.ndarray:
     return values - loc
 
 
-def _engine_masks(values: np.ndarray, family: Family, gamma: float):
-    """Prefix/suffix moment rows plus the family's per-split indicator."""
-    estimator, weights, _, _ = _FAMILY_SETUP[family]
-    prefix, pre_ok, suffix, suf_ok = prefix_suffix_moments(values, estimator, weights, gamma)
-    if family is Family.PWM_S:
-        pre_ok = pre_ok & _rows_ok(prefix, in_dxi_rows)
-        suf_ok = suf_ok & _rows_ok(suffix, in_dxi_rows)
-    elif family is Family.GPWM_S:
-        pre_ok = pre_ok & _rows_ok(prefix, in_dh_rows)
-        suf_ok = suf_ok & _rows_ok(suffix, in_dh_rows)
-    return prefix, pre_ok, suffix, suf_ok
-
-
 def _rows_ok(rows: np.ndarray, pred) -> np.ndarray:
     ok = np.zeros(rows.shape[0], dtype=bool)
     finite = np.all(np.isfinite(rows), axis=1)
@@ -161,16 +150,44 @@ def _rows_ok(rows: np.ndarray, pred) -> np.ndarray:
     return ok
 
 
-def _statistic_from_engine(
-    prefix, pre_ok, suffix, suf_ok, family: Family, target: str, r: int, n: int
-):
+class _Group(NamedTuple):
+    """Per-family work shared by every target of a test group."""
+
+    ks: np.ndarray          # splits r..n-r
+    left: np.ndarray        # (len(ks), 3) prefix parameters, NaN where skipped
+    right: np.ndarray       # suffix parameters, likewise
+    cov: np.ndarray         # covariance of the pseudo-observations
+    triple: MomentTriple    # full-sample moments
+
+
+def _family_group(values: np.ndarray, config: TestConfig, do_recenter: bool) -> _Group:
+    n, r = values.size, config.r
+    if n < 2 * r:
+        raise DataError(f"need n >= 2r = {2 * r} observations")
+    if do_recenter:
+        values = recenter(values, config)
+    family, gamma = config.family, config.resolved_gamma()
+    estimator, weights, _, _ = _FAMILY_SETUP[family]
+    prefix, pre_ok, suffix, suf_ok = prefix_suffix_moments(values, estimator, weights, gamma)
     ks = np.arange(r, n - r + 1)
-    valid = pre_ok[ks] & suf_ok[ks]
-    left = approx_map_rows(_FAMILY_SETUP[family][1].tag, target, prefix[ks])
-    right = approx_map_rows(_FAMILY_SETUP[family][1].tag, target, suffix[ks])
+    prefix, suffix, ok = prefix[ks], suffix[ks], pre_ok[ks] & suf_ok[ks]
+    # the family's per-split indicator
+    if family is Family.PWM_S:
+        ok &= _rows_ok(prefix, in_dxi_rows) & _rows_ok(suffix, in_dxi_rows)
+    elif family is Family.GPWM_S:
+        ok &= _rows_ok(prefix, in_dh_rows) & _rows_ok(suffix, in_dh_rows)
+    left = np.where(ok[:, None], approx_map_rows(weights.tag, prefix), np.nan)
+    right = np.where(ok[:, None], approx_map_rows(weights.tag, suffix), np.nan)
+    cov = np.cov(pseudo_observations(values, weights, gamma), rowvar=False, bias=True)
+    return _Group(ks, left, right, cov, _full_sample_triple(values, family, gamma))
+
+
+def _statistic_from_group(group: _Group, target: str, n: int):
+    col = TARGETS.index(target)
     with np.errstate(invalid="ignore"):
-        diff = np.abs(left - right)
-    valid = valid & np.isfinite(diff)
+        diff = np.abs(group.left[:, col] - group.right[:, col])
+    valid = np.isfinite(diff)
+    ks = group.ks
     skipped = tuple(int(k) for k in ks[~valid])
     if not valid.any():
         raise FeasibilityError("no feasible split: every k was skipped")
@@ -180,6 +197,14 @@ def _statistic_from_engine(
     return float(vals[idx]), int(ks[idx]), skipped
 
 
+def _sigma_from_group(group: _Group, config: TestConfig, n: int) -> float:
+    grad = jacobian(_FAMILY_SETUP[config.family][3], config.target, group.triple)
+    var = float(grad @ group.cov @ grad) * config.resolved_correction(n)
+    if not var > 0.0:
+        raise DataError("degenerate variance estimate (near-constant sample?)")
+    return math.sqrt(var)
+
+
 def statistic(sample, config: TestConfig):
     """CUSUM statistic over splits k in {r, ..., n-r}.
 
@@ -187,13 +212,8 @@ def statistic(sample, config: TestConfig):
     :func:`run_test` for the full pipeline).
     """
     values = as_sample(sample)
-    n = values.size
-    if n < 2 * config.r:
-        raise DataError(f"need n >= 2r = {2 * config.r} observations")
-    prefix, pre_ok, suffix, suf_ok = _engine_masks(values, config.family, config.resolved_gamma())
-    return _statistic_from_engine(
-        prefix, pre_ok, suffix, suf_ok, config.family, config.target, config.r, n
-    )
+    group = _family_group(values, config, do_recenter=False)
+    return _statistic_from_group(group, config.target, values.size)
 
 
 def pseudo_observations(sample, family: WeightFamily = PWM, gamma: float = -0.35) -> np.ndarray:
@@ -225,17 +245,8 @@ def pseudo_observations(sample, family: WeightFamily = PWM, gamma: float = -0.35
 def sigma_hat(sample, config: TestConfig) -> float:
     """Plug-in estimate of the asymptotic standard deviation of the statistic."""
     values = as_sample(sample)
-    n = values.size
-    gamma = config.resolved_gamma()
-    _, weights, _, kind = _FAMILY_SETUP[config.family]
-    y = pseudo_observations(values, weights, gamma)
-    cov = np.cov(y, rowvar=False, bias=True)
-    triple = _full_sample_triple(values, config.family, gamma)
-    grad = jacobian(kind, config.target, triple)
-    var = float(grad @ cov @ grad) * config.resolved_correction(n)
-    if not var > 0.0:
-        raise DataError("degenerate variance estimate (near-constant sample?)")
-    return math.sqrt(var)
+    group = _family_group(values, config, do_recenter=False)
+    return _sigma_from_group(group, config, values.size)
 
 
 def run_test(sample, config: TestConfig) -> TestResult:
@@ -252,33 +263,18 @@ def run_suite(sample, configs: list[TestConfig]) -> list[TestResult]:
     for i, cfg in enumerate(configs):
         key = (cfg.family, cfg.gamma, cfg.recenter, cfg.r)
         by_key.setdefault(key, []).append(i)
-    for (family, _, do_recenter, r), idxs in by_key.items():
-        cfg0 = configs[idxs[0]]
-        gamma = cfg0.resolved_gamma()
-        if n < 2 * r:
-            raise DataError(f"need n >= 2r = {2 * r} observations")
-        data = recenter(values, cfg0) if do_recenter else values
-        prefix, pre_ok, suffix, suf_ok = _engine_masks(data, family, gamma)
-        _, weights, _, kind = _FAMILY_SETUP[family]
-        y = pseudo_observations(data, weights, gamma)
-        cov = np.cov(y, rowvar=False, bias=True)
-        triple = _full_sample_triple(data, family, gamma)
+    for idxs in by_key.values():
+        group = _family_group(values, configs[idxs[0]], configs[idxs[0]].recenter)
         for i in idxs:
             cfg = configs[i]
-            stat, argmax_k, skipped = _statistic_from_engine(
-                prefix, pre_ok, suffix, suf_ok, family, cfg.target, r, n
-            )
-            grad = jacobian(kind, cfg.target, triple)
-            var = float(grad @ cov @ grad) * cfg.resolved_correction(n)
-            if not var > 0.0:
-                raise DataError("degenerate variance estimate (near-constant sample?)")
-            sd = math.sqrt(var)
+            stat, argmax_k, skipped = _statistic_from_group(group, cfg.target, n)
+            sd = _sigma_from_group(group, cfg, n)
             p = 1.0 - kolmogorov_cdf(stat / sd)
             left = right = None
             try:
-                left = map_triple(kind, prefix[argmax_k])
-                right = map_triple(kind, suffix[argmax_k])
-            except (FeasibilityError, ValueError):
+                left = GevParams(*group.left[argmax_k - cfg.r].tolist())
+                right = GevParams(*group.right[argmax_k - cfg.r].tolist())
+            except ValueError:
                 pass  # side estimates are descriptive only
             results[i] = TestResult(
                 statistic=stat,

@@ -2,27 +2,29 @@
 
 For each weight family there are two routes: an exact numeric solve of the
 moment system by bracketed bisection on the shape equation, and the classical
-closed-form approximations.  The approximations carry hand-derived gradients,
-which feed the asymptotic-variance estimator of the tests.
+closed-form approximations.  Both routes share the scale and location step
+that follows the shape.  The approximations are written once, row-wise, with
+an optional closed-form Jacobian that feeds the asymptotic-variance estimator
+of the tests; the scalar maps and :func:`jacobian` wrap the row form.
 """
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as sp_gamma
 from scipy.special import psi as sp_psi
 
-from .distributions import EULER_GAMMA, DataError, FeasibilityError, GevParams
+from .distributions import EULER_GAMMA, XI_ZERO_TOL, DataError, FeasibilityError, GevParams
 from .moments import (
     GPWM_SHAPE_HI,
     LOG2,
     LOG3,
-    LOG32,
     PWM_SHAPE_HI,
     SHAPE_BRACKET_LO,
-    MomentTriple,
     _as_triple_array,
     _gpwm_q,
     gpwm_solver_target,
@@ -33,9 +35,11 @@ from .moments import (
 
 ZETA2 = math.pi * math.pi / 6.0
 
-# xi below which the Gumbel-limit series branches of the scale/location
-# helpers (and of their derivatives) are used.
-_XI_SMALL = 1e-8
+# Column order of the parameter rows returned by approx_map_rows.
+PARAMS = ("mu", "sigma", "xi")
+
+# xi below which the Gumbel-limit series branches of the derivatives of the
+# scale/location helpers are used (the helpers themselves use XI_ZERO_TOL).
 _DXI_SMALL = 1e-5
 
 # Constants of the log-weight shape approximation.
@@ -51,7 +55,7 @@ class GevMapKind(enum.Enum):
     GPWM_APPROX = "gpwm_approx"
 
 
-class SolveFailure(ValueError):
+class SolveFailure(FeasibilityError):
     """The shape equation has no root inside the search bracket."""
 
 
@@ -62,7 +66,7 @@ def _bisect(fn, lo: float, hi: float, target: float, tol: float = 1e-12) -> floa
     if fhi == 0.0:
         return hi
     if flo * fhi > 0:
-        raise SolveFailure("target outside the bracket image")
+        raise SolveFailure("shape equation has no root in the search bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid) - target
@@ -75,7 +79,7 @@ def _bisect(fn, lo: float, hi: float, target: float, tol: float = 1e-12) -> floa
     return 0.5 * (lo + hi)
 
 
-# --- scalar helpers with Gumbel-limit branches ------------------------------
+# --- shape equation and scale/location factors -----------------------------
 
 
 def _pwm_shape_ratio(xi: float) -> float:
@@ -87,8 +91,7 @@ def _pwm_shape_ratio(xi: float) -> float:
 
 def _w(xi):
     """Scale factor xi / (Gamma(1-xi) (2^xi - 1)); w(0) = 1/log 2."""
-    xi = np.asarray(xi, dtype=float)
-    small = np.abs(xi) < _XI_SMALL
+    small = np.abs(xi) < XI_ZERO_TOL
     safe = np.where(small, 0.5, xi)
     out = safe / (sp_gamma(1.0 - safe) * np.expm1(safe * LOG2))
     return np.where(small, 1.0 / LOG2, out)
@@ -96,8 +99,7 @@ def _w(xi):
 
 def _v(xi):
     """Location shift (1 - Gamma(1-xi))/xi; v(0) = -EulerGamma."""
-    xi = np.asarray(xi, dtype=float)
-    small = np.abs(xi) < _XI_SMALL
+    small = np.abs(xi) < XI_ZERO_TOL
     safe = np.where(small, 0.5, xi)
     out = (1.0 - sp_gamma(1.0 - safe)) / safe
     return np.where(small, -EULER_GAMMA, out)
@@ -105,21 +107,18 @@ def _v(xi):
 
 def _u(xi):
     """2^(3-xi)/Gamma(2-xi), the log-weight scale factor (no singularity)."""
-    xi = np.asarray(xi, dtype=float)
     return np.power(2.0, 3.0 - xi) / sp_gamma(2.0 - xi)
 
 
 def _z(xi):
     """(1 - 2^xi Gamma(2-xi))/xi; z(0) = 1 - EulerGamma - log 2."""
-    xi = np.asarray(xi, dtype=float)
-    small = np.abs(xi) < _XI_SMALL
+    small = np.abs(xi) < XI_ZERO_TOL
     safe = np.where(small, 0.5, xi)
     g = np.power(2.0, safe) * sp_gamma(2.0 - safe)
     return np.where(small, 1.0 - EULER_GAMMA - LOG2, (1.0 - g) / safe)
 
 
 def _w_prime(xi):
-    xi = np.asarray(xi, dtype=float)
     small = np.abs(xi) < _DXI_SMALL
     safe = np.where(small, 0.5, xi)
     e = np.expm1(safe * LOG2)
@@ -131,7 +130,6 @@ def _w_prime(xi):
 
 
 def _v_prime(xi):
-    xi = np.asarray(xi, dtype=float)
     small = np.abs(xi) < _DXI_SMALL
     safe = np.where(small, 0.5, xi)
     gam = sp_gamma(1.0 - safe)
@@ -140,12 +138,10 @@ def _v_prime(xi):
 
 
 def _u_prime(xi):
-    xi = np.asarray(xi, dtype=float)
     return _u(xi) * (-LOG2 + sp_psi(2.0 - xi))
 
 
 def _z_prime(xi):
-    xi = np.asarray(xi, dtype=float)
     small = np.abs(xi) < _DXI_SMALL
     safe = np.where(small, 0.5, xi)
     g = np.power(2.0, safe) * sp_gamma(2.0 - safe)
@@ -155,6 +151,117 @@ def _z_prime(xi):
     return np.where(small, -(b1 * b1 + ZETA2 - 1.0) / 2.0, out)
 
 
+# --- approximations ---------------------------------------------------------
+
+
+def _pwm_shape(m, grad):
+    m1, m2, m3 = m.T
+    a, b = 2 * m2 - m1, 3 * m3 - m1
+    x = a / b - LOG2 / LOG3
+    xi = -7.8590 * x - 2.9554 * x * x
+    if not grad:
+        return in_dxi_rows(m), xi, None
+    dx = np.array([(a - b) / (b * b), 2.0 / b, -3.0 * a / (b * b)]).T
+    return in_dxi_rows(m), xi, (-7.8590 - 2.0 * 2.9554 * x)[:, None] * dx
+
+
+def _gpwm_shape(m, grad):
+    m1, m2, m3 = m.T
+    p, q = 2.0 * (m1 - m2), m1 - 2.25 * m3
+    x = p / q
+    xi = (_HF_C1 - np.power(-x, _HF_EXP)) / _HF_C0
+    ok = (q != 0.0) & (x < 0.0)
+    if not grad:
+        return ok, xi, None
+    dx = np.array([(2.0 * q - p) / (q * q), -2.0 / q, 2.25 * p / (q * q)]).T
+    return ok, xi, (_HF_EXP * np.power(-x, _HF_EXP - 1.0) / _HF_C0)[:, None] * dx
+
+
+@dataclass(frozen=True)
+class _MapForm:
+    """What tells the two approximate maps apart.
+
+    ``shape(m, grad)`` gives the domain mask, the shape and (with ``grad``)
+    its gradient.  Given the shape, sigma = (m @ scale) * factor(xi) and
+    mu = m @ location + sigma * shift(xi); the exact solves share this step.
+    """
+
+    shape: Callable
+    scale: np.ndarray
+    location: np.ndarray
+    factor: Callable
+    factor_prime: Callable
+    shift: Callable
+    shift_prime: Callable
+
+
+_PWM = _MapForm(
+    _pwm_shape, np.array([-1.0, 2.0, 0.0]), np.array([1.0, 0.0, 0.0]), _w, _w_prime, _v, _v_prime
+)
+_GPWM = _MapForm(
+    _gpwm_shape, np.array([1.0, -1.0, 0.0]), np.array([4.0, 0.0, 0.0]), _u, _u_prime, _z, _z_prime
+)
+_FORMS = {"pwm": _PWM, "gpwm": _GPWM}
+_APPROX_TAGS = {GevMapKind.PWM_APPROX: "pwm", GevMapKind.GPWM_APPROX: "gpwm"}
+
+
+def _scale_location(form: _MapForm, m: np.ndarray, xi: np.ndarray, dxi=None):
+    """Rows (mu, sigma, xi) given the shape column; with the shape gradient
+    ``dxi`` also the (n, 3, 3) Jacobian d(mu, sigma, xi)/d(m1, m2, m3)."""
+    num, factor, shift = m @ form.scale, form.factor(xi), form.shift(xi)
+    sigma = num * factor
+    params = np.array([m @ form.location + sigma * shift, sigma, xi]).T
+    if dxi is None:
+        return params
+    dsigma = factor[:, None] * form.scale + (num * form.factor_prime(xi))[:, None] * dxi
+    dmu = form.location + shift[:, None] * dsigma + (sigma * form.shift_prime(xi))[:, None] * dxi
+    return params, np.array([dmu, dsigma, dxi]).transpose(1, 0, 2)
+
+
+def approx_map_rows(family_tag: str, m: np.ndarray, grad: bool = False):
+    """Approximate map over the rows of an (n, 3) moment array.
+
+    Returns the (n, 3) columns mu, sigma, xi (see ``PARAMS``) and, with
+    ``grad``, also the (n, 3, 3) Jacobian.  Rows outside the map's domain
+    come back as NaN; callers mask them.
+    """
+    form = _FORMS[family_tag]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ok, xi, dxi = form.shape(m, grad)
+        # below the Gumbel-branch threshold the shape is indistinguishable
+        # from 0, so use 0 exactly and keep (mu, sigma, 0) consistent
+        xi = np.where(ok, np.where(np.abs(xi) < XI_ZERO_TOL, 0.0, xi), np.nan)
+        return _scale_location(form, m, xi, dxi)
+
+
+def _approx_one(family_tag: str, m, grad: bool = False):
+    """:func:`approx_map_rows` on one triple; FeasibilityError off the domain."""
+    arr = _as_triple_array(m)
+    out = approx_map_rows(family_tag, arr[None], grad)
+    if np.isnan((out[0] if grad else out)[0, 2]):
+        raise FeasibilityError(
+            f"moment triple {tuple(arr.tolist())} outside the domain of the {family_tag} approximation"
+        )
+    return out
+
+
+def pwm_to_gev_approx(m) -> GevParams:
+    return GevParams(*_approx_one("pwm", m)[0].tolist())
+
+
+def gpwm_to_gev_approx(m) -> GevParams:
+    return GevParams(*_approx_one("gpwm", m)[0].tolist())
+
+
+def jacobian(kind: GevMapKind, component: str, m) -> np.ndarray:
+    """Closed-form gradient (d/dm1, d/dm2, d/dm3) of an approximate map."""
+    if component not in PARAMS:
+        raise DataError(f"unknown component {component!r}")
+    if kind not in _APPROX_TAGS:
+        raise DataError("gradients are defined for the approximate maps only")
+    return _approx_one(_APPROX_TAGS[kind], m, grad=True)[1][0, PARAMS.index(component)]
+
+
 # --- exact solves -----------------------------------------------------------
 
 
@@ -162,16 +269,9 @@ def pwm_to_gev_exact(m) -> GevParams:
     """Solve the classical moment system by bisection on the shape equation."""
     arr = _as_triple_array(m)
     if not in_dxi(arr):
-        raise FeasibilityError(f"moment triple {tuple(arr)} outside the feasibility region")
-    target = shape_ratio_target(arr)
-    try:
-        xi = _bisect(_pwm_shape_ratio, SHAPE_BRACKET_LO, PWM_SHAPE_HI, target)
-    except SolveFailure as exc:
-        raise FeasibilityError(f"shape equation unsolvable in the bracket: {exc}") from exc
-    m1, m2, _ = arr
-    sigma = (2 * m2 - m1) * float(_w(xi))
-    mu = m1 + sigma * float(_v(xi))
-    return GevParams(mu, sigma, xi)
+        raise FeasibilityError(f"moment triple {tuple(arr.tolist())} outside the feasibility region")
+    xi = _bisect(_pwm_shape_ratio, SHAPE_BRACKET_LO, PWM_SHAPE_HI, shape_ratio_target(arr))
+    return GevParams(*_scale_location(_PWM, arr[None], np.array([xi]))[0].tolist())
 
 
 def gpwm_to_gev_exact(m) -> GevParams:
@@ -179,137 +279,13 @@ def gpwm_to_gev_exact(m) -> GevParams:
     equation has no root in the bracket (that failure is what domain
     membership checks consume)."""
     arr = _as_triple_array(m)
-    m1, m2, _ = arr
-    denom = m1 - 2.25 * arr[2]
-    if denom == 0.0:
+    if arr[0] - 2.25 * arr[2] == 0.0:
         raise SolveFailure("degenerate shape-equation denominator")
-    target = gpwm_solver_target(arr)
-    xi = _bisect(_gpwm_q, SHAPE_BRACKET_LO, GPWM_SHAPE_HI, target)
-    sigma = (m1 - m2) * float(_u(xi))
+    xi = _bisect(_gpwm_q, SHAPE_BRACKET_LO, GPWM_SHAPE_HI, gpwm_solver_target(arr))
+    mu, sigma, _ = _scale_location(_GPWM, arr[None], np.array([xi]))[0].tolist()
     if sigma <= 0.0:
         raise SolveFailure("scale equation gives a nonpositive scale")
-    mu = 4.0 * m1 + sigma * float(_z(xi))
     return GevParams(mu, sigma, xi)
-
-
-# --- approximations ---------------------------------------------------------
-
-
-def _pwm_shape_approx(m1, m2, m3):
-    x = (2 * m2 - m1) / (3 * m3 - m1) - LOG2 / LOG3
-    xi = -7.8590 * x - 2.9554 * x * x
-    # below the Gumbel-branch threshold the shape is indistinguishable from
-    # 0, so return 0 exactly and keep the triple (mu, sigma, 0) consistent
-    return np.where(np.abs(xi) < _XI_SMALL, 0.0, xi)
-
-
-def _gpwm_shape_approx(m1, m2, m3):
-    x = 2.0 * (m1 - m2) / (m1 - 2.25 * m3)
-    xi = (_HF_C1 - np.power(-x, _HF_EXP)) / _HF_C0
-    return np.where(np.abs(xi) < _XI_SMALL, 0.0, xi)
-
-
-def pwm_to_gev_approx(m) -> GevParams:
-    arr = _as_triple_array(m)
-    if not in_dxi(arr):
-        raise FeasibilityError(f"moment triple {tuple(arr)} outside the feasibility region")
-    m1, m2, m3 = arr
-    xi = float(_pwm_shape_approx(m1, m2, m3))
-    sigma = (2 * m2 - m1) * float(_w(xi))
-    mu = m1 + sigma * float(_v(xi))
-    return GevParams(mu, sigma, xi)
-
-
-def gpwm_to_gev_approx(m) -> GevParams:
-    arr = _as_triple_array(m)
-    m1, m2, m3 = arr
-    x = 2.0 * (m1 - m2) / (m1 - 2.25 * m3) if m1 - 2.25 * m3 != 0.0 else math.inf
-    if not (x < 0.0):
-        raise FeasibilityError("log-weight shape approximation needs a negative ratio")
-    xi = float(_gpwm_shape_approx(m1, m2, m3))
-    sigma = (m1 - m2) * float(_u(xi))
-    mu = 4.0 * m1 + sigma * float(_z(xi))
-    return GevParams(mu, sigma, xi)
-
-
-def approx_map_rows(family_tag: str, target: str, m: np.ndarray) -> np.ndarray:
-    """Vectorized approximate map over rows of an (n, 3) array.
-
-    Rows outside the map's domain come back as NaN; callers mask them.
-    """
-    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if family_tag == "pwm":
-            feasible = in_dxi_rows(m)
-            xi = np.where(feasible, _pwm_shape_approx(m1, m2, m3), np.nan)
-            if target == "xi":
-                return xi
-            sigma = (2 * m2 - m1) * _w(xi)
-            if target == "sigma":
-                return sigma
-            return m1 + sigma * _v(xi)
-        x = 2.0 * (m1 - m2) / (m1 - 2.25 * m3)
-        x = np.where(x < 0.0, x, np.nan)
-        xi = np.where(np.isnan(x), np.nan, _gpwm_shape_approx(m1, m2, m3))
-        if target == "xi":
-            return xi
-        sigma = (m1 - m2) * _u(xi)
-        if target == "sigma":
-            return sigma
-        return 4.0 * m1 + sigma * _z(xi)
-
-
-# --- gradients of the approximations ---------------------------------------
-
-
-def _pwm_grads(arr: np.ndarray):
-    m1, m2, m3 = arr
-    a = 2 * m2 - m1
-    b = 3 * m3 - m1
-    x = a / b - LOG2 / LOG3
-    grad_x = np.array([(a - b) / (b * b), 2.0 / b, -3.0 * a / (b * b)])
-    fprime = -7.8590 - 2.0 * 2.9554 * x
-    xi = -7.8590 * x - 2.9554 * x * x
-    grad_xi = fprime * grad_x
-    w, wp = float(_w(xi)), float(_w_prime(xi))
-    sigma = a * w
-    grad_sigma = w * np.array([-1.0, 2.0, 0.0]) + a * wp * grad_xi
-    v, vp = float(_v(xi)), float(_v_prime(xi))
-    grad_mu = np.array([1.0, 0.0, 0.0]) + v * grad_sigma + sigma * vp * grad_xi
-    return {"mu": grad_mu, "sigma": grad_sigma, "xi": grad_xi}
-
-
-def _gpwm_grads(arr: np.ndarray):
-    m1, m2, m3 = arr
-    p = 2.0 * (m1 - m2)
-    q = m1 - 2.25 * m3
-    x = p / q
-    if not (x < 0.0):
-        raise FeasibilityError("log-weight shape approximation needs a negative ratio")
-    grad_x = np.array([(2.0 * q - p) / (q * q), -2.0 / q, 2.25 * p / (q * q)])
-    xi = (_HF_C1 - (-x) ** _HF_EXP) / _HF_C0
-    fprime = _HF_EXP * (-x) ** (_HF_EXP - 1.0) / _HF_C0
-    grad_xi = fprime * grad_x
-    u, up = float(_u(xi)), float(_u_prime(xi))
-    sigma = (m1 - m2) * u
-    grad_sigma = u * np.array([1.0, -1.0, 0.0]) + (m1 - m2) * up * grad_xi
-    z, zp = float(_z(xi)), float(_z_prime(xi))
-    grad_mu = np.array([4.0, 0.0, 0.0]) + z * grad_sigma + sigma * zp * grad_xi
-    return {"mu": grad_mu, "sigma": grad_sigma, "xi": grad_xi}
-
-
-def jacobian(kind: GevMapKind, component: str, m) -> np.ndarray:
-    """Closed-form gradient (d/dm1, d/dm2, d/dm3) of an approximate map."""
-    if component not in ("mu", "sigma", "xi"):
-        raise DataError(f"unknown component {component!r}")
-    arr = _as_triple_array(m)
-    if kind is GevMapKind.PWM_APPROX:
-        if not in_dxi(arr):
-            raise FeasibilityError("moment triple outside the feasibility region")
-        return _pwm_grads(arr)[component]
-    if kind is GevMapKind.GPWM_APPROX:
-        return _gpwm_grads(arr)[component]
-    raise DataError("gradients are defined for the approximate maps only")
 
 
 def map_triple(kind: GevMapKind, m) -> GevParams:

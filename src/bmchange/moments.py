@@ -170,8 +170,7 @@ def exact_pwm_gev(p: GevParams) -> MomentTriple:
 
 def in_dxi(m) -> bool:
     """Feasibility region of the classical moment-to-GEV map (strict)."""
-    m1, m2, m3 = _as_triple_array(m)
-    return bool(2 * m2 - m1 > 0 and 3 * m3 - 2 * m2 > 0 and -m1 + 4 * m2 - 3 * m3 > 0)
+    return bool(in_dxi_rows(_as_triple_array(m)[None])[0])
 
 
 def shape_ratio_target(m) -> float:
@@ -205,14 +204,7 @@ def in_dh(m) -> bool:
     bracket, so solvability reduces to the target falling inside the
     bracket's image and the scale equation giving a positive value (m1 > m2).
     """
-    m1, m2, m3 = _as_triple_array(m)
-    if m1 - m2 <= 0.0:
-        return False
-    denom = m1 - 2.25 * m3
-    if denom == 0.0:
-        return False
-    target = 2.0 * (m1 - m2) / denom
-    return bool(GPWM_TARGET_LO < target < GPWM_TARGET_HI)
+    return bool(in_dh_rows(_as_triple_array(m)[None])[0])
 
 
 def in_dh_rows(m: np.ndarray) -> np.ndarray:
@@ -225,6 +217,7 @@ def in_dh_rows(m: np.ndarray) -> np.ndarray:
 
 
 def in_dxi_rows(m: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`in_dxi` over rows of an (n, 3) array."""
     m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
     return (2 * m2 - m1 > 0) & (3 * m3 - 2 * m2 > 0) & (-m1 + 4 * m2 - 3 * m3 > 0)
 

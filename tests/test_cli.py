@@ -94,6 +94,20 @@ def test_cmd_estimate_infeasible_exit_3(runner, tmp_path):
     assert "3*m3 - 2*m2 > 0" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "series", ["x\n-67.1\n-682.9\n-6.4\n", "1\n1\n1\n1\n"], ids=["bounded-tail", "all-tied"]
+)
+def test_cmd_estimate_gpwm_unsolvable_exit_3(runner, tmp_path, series):
+    # the approximate map accepts these moments; the exact shape equation
+    # has no root in the bracket
+    f = tmp_path / "bad.csv"
+    f.write_text(series)
+    res = runner.invoke(main, ["estimate", str(f), "--family", "gpwm"])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1
+
+
 def test_cmd_detie(runner, tied_file):
     res = runner.invoke(main, ["detie", str(tied_file), "--replicates", "3", "--seed", "1"])
     assert res.exit_code == 0, res.output

@@ -14,7 +14,17 @@ from bmchange.cusum import (
 )
 from bmchange.distributions import DataError, FeasibilityError, GevParams, sample_gev
 from bmchange.gev_maps import GevMapKind, map_triple
-from bmchange.moments import GPWM, PWM, b_hat, beta_hat, ecdf, in_dh, in_dxi
+from bmchange.moments import (
+    GPWM,
+    PWM,
+    Estimator,
+    b_hat,
+    beta_hat,
+    ecdf,
+    in_dh,
+    in_dxi,
+    prefix_suffix_moments,
+)
 
 
 def _naive_statistic(values, config):
@@ -191,3 +201,29 @@ def test_result_to_dict(rng):
     assert d["target"] == "mu"
     assert 0.0 <= d["p_value"] <= 1.0
     assert set(d["left_params"]) == {"mu", "sigma", "xi"}
+
+
+_ENGINE = {
+    Family.PWM_T: (Estimator.B_HAT, PWM, GevMapKind.PWM_APPROX),
+    Family.PWM_S: (Estimator.BETA_HAT, PWM, GevMapKind.PWM_APPROX),
+    Family.GPWM_S: (Estimator.BETA_HAT, GPWM, GevMapKind.GPWM_APPROX),
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("do_recenter", [True, False])
+def test_run_suite_agrees_with_its_parts(rng, family, do_recenter):
+    x = sample_gev(120, GevParams(0, 1, 0.1), rng)
+    estimator, weights, kind = _ENGINE[family]
+    configs = family_suite(family, recenter=do_recenter)
+    data = recenter(x, configs[0]) if do_recenter else x
+    prefix, _, suffix, _ = prefix_suffix_moments(
+        data, estimator, weights, configs[0].resolved_gamma()
+    )
+    for cfg, res in zip(configs, run_suite(x, configs)):
+        k = res.argmax_k
+        assert res.left_params == map_triple(kind, prefix[k])
+        assert res.right_params == map_triple(kind, suffix[k])
+        if not do_recenter:
+            assert statistic(x, cfg) == (res.statistic, res.argmax_k, res.skipped_k)
+            assert sigma_hat(x, cfg) == res.sigma_hat

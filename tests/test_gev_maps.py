@@ -149,10 +149,11 @@ def test_approx_map_rows_matches_scalar_and_masks():
     good = exact_pwm_gev(GevParams(0, 1, 0.2)).as_array()
     bad = np.array([1.0, 0.4, 0.2])
     rows = np.vstack([good, bad])
-    for target in ("mu", "sigma", "xi"):
-        out = approx_map_rows("pwm", target, rows)
-        assert out[0] == pytest.approx(getattr(pwm_to_gev_approx(good), target), rel=1e-12)
-        assert np.isnan(out[1])
+    out, jac = approx_map_rows("pwm", rows, grad=True)
+    for col, target in enumerate(("mu", "sigma", "xi")):
+        assert out[0, col] == pytest.approx(getattr(pwm_to_gev_approx(good), target), rel=1e-12)
+        assert np.isnan(out[1, col])
+        np.testing.assert_array_equal(jac[0, col], jacobian(GevMapKind.PWM_APPROX, target, good))
 
 
 def test_map_triple_dispatch():
