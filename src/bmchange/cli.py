@@ -26,8 +26,16 @@ _SCENARIO_HINT = (
 )
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    # Pass the stream explicitly: for the default one click caches a wrapper
+    # per sys.stdout/sys.stderr object in a weak-key map whose value is that
+    # same stream, so every stream an in-process caller redirects output to
+    # would stay alive for the life of the process.
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -72,7 +80,7 @@ def cmd_test(file, column, family, target, r, no_recenter, alpha, seed, fmt):
     values = _load_series(file, column)
     n_distinct = detie_mod.count_distinct(values)
     if n_distinct < values.size:
-        click.echo(
+        _echo(
             f"warning: {values.size - n_distinct} tied values "
             f"({n_distinct} distinct of {values.size}); rank-based estimates are "
             "sensitive to ties, consider the detie command",
@@ -116,16 +124,16 @@ def cmd_test(file, column, family, target, r, no_recenter, alpha, seed, fmt):
     else:
         report["reject"] = bool(per_test[0]["p_value"] < alpha)
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        _echo(json.dumps(report, indent=2, sort_keys=True))
     else:
         for t in per_test:
-            click.echo(
+            _echo(
                 f"{t['family']:6s} {t['target']:5s} stat={t['statistic']:.6g} "
                 f"sigma_hat={t['sigma_hat']:.6g} p={t['p_value']:.4g} k*={t['argmax_k']}"
             )
         if "bonferroni" in report:
             verdict = "reject" if report["bonferroni"]["reject"] else "no rejection"
-            click.echo(f"joint decision at alpha={alpha:g} (cutoff {alpha / 3:.4g} per test): {verdict}")
+            _echo(f"joint decision at alpha={alpha:g} (cutoff {alpha / 3:.4g} per test): {verdict}")
 
 
 @main.command("estimate")
@@ -182,7 +190,7 @@ def cmd_estimate(file, column, family, gamma):
         _fail(3, str(exc))
     except DataError as exc:
         _fail(2, str(exc))
-    click.echo(json.dumps(report, indent=2, sort_keys=True))
+    _echo(json.dumps(report, indent=2, sort_keys=True))
 
 
 @main.command("detie")
@@ -207,7 +215,7 @@ def cmd_detie(file, column, replicates, seed, family, r, fmt):
     except DataError as exc:
         _fail(2, str(exc))
     if fmt == "csv":
-        click.echo(report.csv_text(), nl=False)
+        _echo(report.csv_text(), nl=False)
         return
     body = report.to_dict()
     body["config"] = {
@@ -218,7 +226,7 @@ def cmd_detie(file, column, replicates, seed, family, r, fmt):
         "family": family,
         "r": r,
     }
-    click.echo(json.dumps(body, indent=2, sort_keys=True))
+    _echo(json.dumps(body, indent=2, sort_keys=True))
 
 
 @main.command("simulate")
@@ -258,22 +266,22 @@ def cmd_simulate(table_id, scenario_path, reps, reduced, seed, jobs, fmt):
         except (DataError, ValueError, TypeError) as exc:
             _fail(2, f"invalid scenario ({exc}); {_SCENARIO_HINT}")
         report = mc.run_scenario(scenario, jobs=jobs)
-        click.echo(f"wall time: {report.wall_time_s:.1f}s", err=True)
+        _echo(f"wall time: {report.wall_time_s:.1f}s", err=True)
         if fmt == "json":
-            click.echo(report.to_json())
+            _echo(report.to_json())
         else:
-            click.echo(report.csv_text(), nl=False)
+            _echo(report.csv_text(), nl=False)
         return
     rows, reports = mc.table_runner(
         table_id, reduced=reduced, replications=replications, master_seed=seed, jobs=jobs
     )
-    click.echo(f"wall time: {sum(r.wall_time_s for r in reports):.1f}s", err=True)
+    _echo(f"wall time: {sum(r.wall_time_s for r in reports):.1f}s", err=True)
     if fmt == "json":
-        click.echo(json.dumps({"schema_version": SCHEMA_VERSION, "table": table_id,
-                               "replications": replications, "master_seed": seed,
-                               "reduced": reduced, "rows": rows}, indent=2, sort_keys=True))
+        _echo(json.dumps({"schema_version": SCHEMA_VERSION, "table": table_id,
+                          "replications": replications, "master_seed": seed,
+                          "reduced": reduced, "rows": rows}, indent=2, sort_keys=True))
     else:
-        click.echo(mc.rows_to_csv(rows), nl=False)
+        _echo(mc.rows_to_csv(rows), nl=False)
 
 
 if __name__ == "__main__":

@@ -17,20 +17,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DataError, FeasibilityError, GevParams, as_sample, kolmogorov_cdf
-from .gev_maps import PARAMS, GevMapKind, approx_map_rows, jacobian, map_triple
+from .distributions import DataError, FeasibilityError, GevParams, as_rows, as_sample, kolmogorov_cdf
+from .gev_maps import PARAMS, GevMapKind, approx_map_rows, map_outcome
 from .moments import (
     GPWM,
     PWM,
     Estimator,
     MomentTriple,
     WeightFamily,
-    b_hat,
-    beta_hat,
+    full_sample_rows,
     in_dh_rows,
     in_dxi_rows,
     prefix_suffix_moments,
 )
+
+# Unused here, but bench/spans.py wraps these names in this module.
+from .gev_maps import jacobian, map_triple  # noqa: F401
+from .moments import b_hat, beta_hat  # noqa: F401
 
 TARGETS = PARAMS
 
@@ -92,6 +95,8 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class TestResult:
+    __test__ = False  # not a test case despite the name
+
     statistic: float
     sigma_hat: float
     p_value: float
@@ -121,25 +126,49 @@ class TestResult:
         }
 
 
-def _full_sample_triple(values: np.ndarray, family: Family, gamma: float):
-    estimator, weights, _, _ = _FAMILY_SETUP[family]
-    if estimator is Estimator.B_HAT:
-        return b_hat(values)
-    return beta_hat(values, weights, gamma)
+def _full_sample_rows(values: np.ndarray, config: TestConfig) -> np.ndarray:
+    estimator, weights, _, _ = _FAMILY_SETUP[config.family]
+    return full_sample_rows(values, estimator, weights, config.resolved_gamma())
+
+
+def _error_of(fn, *args) -> ValueError | None:
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def _recenter_rows(values: np.ndarray, config: TestConfig):
+    """Subtract each row's full-sample location estimate.
+
+    Returns the shifted (R, n) rows and, per row, the error that
+    :func:`recenter` raises on that row alone (None when it succeeds); a
+    failed row is left unshifted.
+    """
+    triples = _full_sample_rows(values, config)
+    tag = _FAMILY_SETUP[config.family][1].tag
+    params = approx_map_rows(tag, triples)
+    errors = []
+    for triple, row in zip(triples, params):
+        exc = _error_of(MomentTriple, *triple.tolist())
+        if exc is None:
+            outcome = map_outcome(tag, triple, row)
+            if isinstance(outcome, ValueError):
+                exc = FeasibilityError(
+                    f"cannot recenter: full-sample moments outside the {config.family.value} map domain ({outcome})"
+                )
+                exc.__cause__ = outcome
+        errors.append(exc)
+    failed = np.array([exc is not None for exc in errors])
+    return values - np.where(failed, 0.0, params[:, 0])[:, None], errors
 
 
 def recenter(sample, config: TestConfig) -> np.ndarray:
     """Subtract the full-sample location estimate of the config's family."""
-    values = as_sample(sample)
-    triple = _full_sample_triple(values, config.family, config.resolved_gamma())
-    kind = _FAMILY_SETUP[config.family][3]
-    try:
-        loc = map_triple(kind, triple).mu
-    except (FeasibilityError, ValueError) as exc:
-        raise FeasibilityError(
-            f"cannot recenter: full-sample moments outside the {config.family.value} map domain ({exc})"
-        ) from exc
-    return values - loc
+    values, errors = _recenter_rows(as_sample(sample)[None], config)
+    _raise_if_error(errors[0])
+    return values[0]
 
 
 def _rows_ok(rows: np.ndarray, pred) -> np.ndarray:
@@ -151,58 +180,92 @@ def _rows_ok(rows: np.ndarray, pred) -> np.ndarray:
 
 
 class _Group(NamedTuple):
-    """Per-family work shared by every target of a test group."""
+    """Per-family work shared by every target of a test group, over R rows."""
 
+    errors: list            # per row: the group's failure on that row alone, or None
     ks: np.ndarray          # splits r..n-r
-    left: np.ndarray        # (len(ks), 3) prefix parameters, NaN where skipped
+    left: np.ndarray        # (R, len(ks), 3) prefix parameters, NaN where skipped
     right: np.ndarray       # suffix parameters, likewise
-    cov: np.ndarray         # covariance of the pseudo-observations
-    triple: MomentTriple    # full-sample moments
+    cov: np.ndarray         # (R, 3, 3) covariance of the pseudo-observations
+    triples: np.ndarray     # (R, 3) full-sample moments
+    params: np.ndarray      # (R, 3) their map, NaN off the map's domain
+    jac: np.ndarray         # (R, 3, 3) Jacobian of the map at the triples
 
 
 def _family_group(values: np.ndarray, config: TestConfig, do_recenter: bool) -> _Group:
-    n, r = values.size, config.r
-    if n < 2 * r:
-        raise DataError(f"need n >= 2r = {2 * r} observations")
-    if do_recenter:
-        values = recenter(values, config)
-    family, gamma = config.family, config.resolved_gamma()
+    rows, n = values.shape
+    r, family, gamma = config.r, config.family, config.resolved_gamma()
     estimator, weights, _, _ = _FAMILY_SETUP[family]
-    prefix, pre_ok, suffix, suf_ok = prefix_suffix_moments(values, estimator, weights, gamma)
-    ks = np.arange(r, n - r + 1)
-    prefix, suffix, ok = prefix[ks], suffix[ks], pre_ok[ks] & suf_ok[ks]
-    # the family's per-split indicator
-    if family is Family.PWM_S:
-        ok &= _rows_ok(prefix, in_dxi_rows) & _rows_ok(suffix, in_dxi_rows)
-    elif family is Family.GPWM_S:
-        ok &= _rows_ok(prefix, in_dh_rows) & _rows_ok(suffix, in_dh_rows)
-    left = np.where(ok[:, None], approx_map_rows(weights.tag, prefix), np.nan)
-    right = np.where(ok[:, None], approx_map_rows(weights.tag, suffix), np.nan)
-    cov = np.cov(pseudo_observations(values, weights, gamma), rowvar=False, bias=True)
-    return _Group(ks, left, right, cov, _full_sample_triple(values, family, gamma))
+    errors = [None] * rows
+    try:
+        if n < 2 * r:
+            raise DataError(f"need n >= 2r = {2 * r} observations")
+        if do_recenter:
+            values, errors = _recenter_rows(values, config)
+        prefix, pre_ok, suffix, suf_ok = prefix_suffix_moments(values, estimator, weights, gamma)
+        ks = np.arange(r, n - r + 1)
+        prefix, suffix = prefix[:, ks].reshape(-1, 3), suffix[:, ks].reshape(-1, 3)
+        ok = np.broadcast_to(pre_ok[ks] & suf_ok[ks], (rows, ks.size)).ravel()
+        # the family's per-split indicator
+        if family is Family.PWM_S:
+            ok = ok & _rows_ok(prefix, in_dxi_rows) & _rows_ok(suffix, in_dxi_rows)
+        elif family is Family.GPWM_S:
+            ok = ok & _rows_ok(prefix, in_dh_rows) & _rows_ok(suffix, in_dh_rows)
+        left = np.where(ok[:, None], approx_map_rows(weights.tag, prefix), np.nan).reshape(rows, -1, 3)
+        right = np.where(ok[:, None], approx_map_rows(weights.tag, suffix), np.nan).reshape(rows, -1, 3)
+        del prefix, suffix
+        y = pseudo_observations(values, weights, gamma)
+        y -= y.mean(axis=1, keepdims=True)
+        cov = np.matmul(y.transpose(0, 2, 1), y) * (1.0 / n)
+        triples = _full_sample_rows(values, config)
+        params, jac = approx_map_rows(weights.tag, triples, grad=True)
+    except (DataError, FeasibilityError) as exc:  # the same on every row
+        return _Group([e or exc for e in errors], *[None] * 7)
+    errors = [e or _error_of(MomentTriple, *t.tolist()) for e, t in zip(errors, triples)]
+    return _Group(errors, ks, left, right, cov, triples, params, jac)
 
 
-def _statistic_from_group(group: _Group, target: str, n: int):
+class _Statistics(NamedTuple):
+    value: np.ndarray       # (R,) maximum of the weighted differences
+    index: np.ndarray       # (R,) position of the maximum in ks
+    valid: np.ndarray       # (R, len(ks)) splits where both sides are feasible
+
+
+def _statistics(group: _Group, target: str, n: int) -> _Statistics:
     col = TARGETS.index(target)
     with np.errstate(invalid="ignore"):
-        diff = np.abs(group.left[:, col] - group.right[:, col])
+        diff = np.abs(group.left[:, :, col] - group.right[:, :, col])
     valid = np.isfinite(diff)
     ks = group.ks
-    skipped = tuple(int(k) for k in ks[~valid])
-    if not valid.any():
-        raise FeasibilityError("no feasible split: every k was skipped")
     weight = ks * (n - ks) / n**1.5
     vals = np.where(valid, weight * diff, -np.inf)
-    idx = int(np.argmax(vals))  # ties: smallest k wins
-    return float(vals[idx]), int(ks[idx]), skipped
+    idx = np.argmax(vals, axis=1)  # ties: smallest k wins
+    return _Statistics(vals[np.arange(vals.shape[0]), idx], idx, valid)
 
 
-def _sigma_from_group(group: _Group, config: TestConfig, n: int) -> float:
-    grad = jacobian(_FAMILY_SETUP[config.family][3], config.target, group.triple)
-    var = float(grad @ group.cov @ grad) * config.resolved_correction(n)
+def _no_split(valid_row: np.ndarray) -> FeasibilityError | None:
+    return None if valid_row.any() else FeasibilityError("no feasible split: every k was skipped")
+
+
+def _variances(group: _Group, config: TestConfig, n: int) -> np.ndarray:
+    grad = group.jac[:, TARGETS.index(config.target)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        var = np.vecdot((grad[:, None, :] @ group.cov)[:, 0], grad)
+    return var * config.resolved_correction(n)
+
+
+def _sd_or_error(group: _Group, row: int, var: float, config: TestConfig) -> float | ValueError:
+    if np.isnan(group.params[row, 2]):
+        return map_outcome(_FAMILY_SETUP[config.family][1].tag, group.triples[row], group.params[row])
     if not var > 0.0:
-        raise DataError("degenerate variance estimate (near-constant sample?)")
+        return DataError("degenerate variance estimate (near-constant sample?)")
     return math.sqrt(var)
+
+
+def _raise_if_error(value):
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def statistic(sample, config: TestConfig):
@@ -212,8 +275,12 @@ def statistic(sample, config: TestConfig):
     :func:`run_test` for the full pipeline).
     """
     values = as_sample(sample)
-    group = _family_group(values, config, do_recenter=False)
-    return _statistic_from_group(group, config.target, values.size)
+    group = _family_group(values[None], config, do_recenter=False)
+    _raise_if_error(group.errors[0])
+    stats = _statistics(group, config.target, values.size)
+    _raise_if_error(_no_split(stats.valid[0]))
+    skipped = tuple(group.ks[~stats.valid[0]].tolist())
+    return float(stats.value[0]), int(group.ks[stats.index[0]]), skipped
 
 
 def pseudo_observations(sample, family: WeightFamily = PWM, gamma: float = -0.35) -> np.ndarray:
@@ -221,32 +288,45 @@ def pseudo_observations(sample, family: WeightFamily = PWM, gamma: float = -0.35
 
     Column j of the result holds
     X_i nu_j(F(X_i)) + (1/n) sum_m X_m nu_j'(F(X_m)) 1(X_i <= X_m)
-    with F the modified empirical c.d.f. of the full sample.
+    with F the modified empirical c.d.f. of the full sample.  An (R, n)
+    array of samples gives an (R, n, 3) result.
     """
-    values = as_sample(sample)
-    n = values.size
+    batch = np.ndim(sample) == 2
+    values = as_rows(sample) if batch else as_sample(sample)[None]
+    n = values.shape[1]
     if n < 2:
         raise DataError("need at least 2 observations")
-    order = np.argsort(values, kind="stable")
-    s = values[order]
+    order = np.argsort(values, axis=1, kind="stable")
+    s = np.take_along_axis(values, order, axis=1)
     pos = (np.arange(1, n + 1) + gamma) / n
     if family.tag == "gpwm" and pos[0] <= 0.0:
         raise DataError("log-weight pseudo-observations need strictly positive ecdf values")
     nu = family.nu_matrix(pos)
     nup = family.nu_prime_matrix(pos)
-    tail = np.vstack([np.cumsum((s[:, None] * nup)[::-1], axis=0)[::-1], np.zeros(3)])
-    first_idx = np.searchsorted(s, values, side="left")
-    rank_of = np.empty(n, dtype=int)
-    rank_of[order] = np.arange(n)
-    y = values[:, None] * nu[rank_of] + tail[first_idx] / n
-    return y
+    # tail sums from the largest value down: tail[:, n-1-j] sums sorted positions >= j
+    tail = s[:, ::-1, None] * nup[::-1]
+    np.cumsum(tail, axis=1, out=tail)
+    # sorted position of the first value of each tie group
+    starts = np.ones(s.shape, dtype=bool)
+    starts[:, 1:] = s[:, 1:] != s[:, :-1]
+    first = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+    rows = np.arange(values.shape[0])[:, None]
+    y_sorted = tail[rows, n - 1 - first]
+    del tail
+    y_sorted /= n
+    y_sorted += s[:, :, None] * nu
+    y = np.empty_like(y_sorted)
+    y[rows, order] = y_sorted
+    return y if batch else y[0]
 
 
 def sigma_hat(sample, config: TestConfig) -> float:
     """Plug-in estimate of the asymptotic standard deviation of the statistic."""
     values = as_sample(sample)
-    group = _family_group(values, config, do_recenter=False)
-    return _sigma_from_group(group, config, values.size)
+    group = _family_group(values[None], config, do_recenter=False)
+    _raise_if_error(group.errors[0])
+    var = _variances(group, config, values.size)
+    return _raise_if_error(_sd_or_error(group, 0, var[0], config))
 
 
 def run_test(sample, config: TestConfig) -> TestResult:
@@ -254,40 +334,86 @@ def run_test(sample, config: TestConfig) -> TestResult:
     return run_suite(sample, [config])[0]
 
 
-def run_suite(sample, configs: list[TestConfig]) -> list[TestResult]:
-    """Run several tests on one sample, sharing per-family heavy work."""
-    values = as_sample(sample)
-    n = values.size
-    results: dict[int, TestResult] = {}
+def _groups(configs: list[TestConfig]) -> list[list[int]]:
+    """Config indices by shared per-family work, groups in order of first appearance."""
     by_key: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(configs):
-        key = (cfg.family, cfg.gamma, cfg.recenter, cfg.r)
-        by_key.setdefault(key, []).append(i)
-    for idxs in by_key.values():
-        group = _family_group(values, configs[idxs[0]], configs[idxs[0]].recenter)
-        for i in idxs:
-            cfg = configs[i]
-            stat, argmax_k, skipped = _statistic_from_group(group, cfg.target, n)
-            sd = _sigma_from_group(group, cfg, n)
-            p = 1.0 - kolmogorov_cdf(stat / sd)
-            left = right = None
-            try:
-                left = GevParams(*group.left[argmax_k - cfg.r].tolist())
-                right = GevParams(*group.right[argmax_k - cfg.r].tolist())
-            except ValueError:
-                pass  # side estimates are descriptive only
-            results[i] = TestResult(
+        by_key.setdefault((cfg.family, cfg.gamma, cfg.recenter, cfg.r), []).append(i)
+    return list(by_key.values())
+
+
+def _cells(group: _Group, config: TestConfig, n: int) -> list:
+    """One test over every row of a group: a TestResult or the row's error."""
+    if group.ks is None:
+        return list(group.errors)
+    stats = _statistics(group, config.target, n)
+    var = _variances(group, config, n)
+    ks = group.ks
+    out = []
+    for row, error in enumerate(group.errors):
+        error = error or _no_split(stats.valid[row])
+        sd = error or _sd_or_error(group, row, var[row], config)
+        if isinstance(sd, Exception):
+            out.append(sd)
+            continue
+        stat, idx = float(stats.value[row]), int(stats.index[row])
+        left = right = None
+        try:
+            left = GevParams(*group.left[row, idx].tolist())
+            right = GevParams(*group.right[row, idx].tolist())
+        except ValueError:
+            pass  # side estimates are descriptive only
+        out.append(
+            TestResult(
                 statistic=stat,
                 sigma_hat=sd,
-                p_value=p,
-                argmax_k=argmax_k,
+                p_value=1.0 - kolmogorov_cdf(stat / sd),
+                argmax_k=int(ks[idx]),
                 left_params=left,
                 right_params=right,
-                skipped_k=skipped,
-                config=cfg,
+                skipped_k=tuple(ks[~stats.valid[row]].tolist()),
+                config=config,
                 n=n,
             )
-    return [results[i] for i in range(len(configs))]
+        )
+    return out
+
+
+def run_batch(samples, configs: list[TestConfig]) -> list[list]:
+    """Run several tests on each row of an (R, n) array of samples.
+
+    Returns one list per row with one entry per config: the TestResult, or
+    the FeasibilityError/DataError that the test raises on that row alone.
+    Tests of one family share the per-family work, which runs once over all
+    rows; a row that is not finite fails every test.  Every product is
+    taken row by row, so a row's results do not depend on the other rows.
+    """
+    values = np.asarray(samples, dtype=float)
+    bad = [_error_of(as_sample, row) for row in values] if values.ndim == 2 else []
+    values = as_rows(np.where(np.isfinite(values), values, 0.0))
+    n = values.shape[1]
+    cells = [[None] * len(configs) for _ in values]
+    for idxs in _groups(configs):
+        group = _family_group(values, configs[idxs[0]], configs[idxs[0]].recenter)
+        group = group._replace(errors=[b or e for b, e in zip(bad, group.errors)])
+        for i in idxs:
+            for row, cell in enumerate(_cells(group, configs[i], n)):
+                cells[row][i] = cell
+        del group  # free this family's arrays before the next family's
+    return cells
+
+
+def run_suite(sample, configs: list[TestConfig]) -> list[TestResult]:
+    """Run several tests on one sample, sharing per-family heavy work.
+
+    The one-row case of :func:`run_batch`.  Raises the first failure: groups
+    in order of first appearance, targets in config order.
+    """
+    cells = run_batch(as_sample(sample)[None], configs)[0]
+    for idxs in _groups(configs):
+        for i in idxs:
+            _raise_if_error(cells[i])
+    return cells
 
 
 def family_suite(family: Family, r: int = 10, recenter: bool = True) -> list[TestConfig]:

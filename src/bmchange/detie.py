@@ -15,10 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cusum import Family, family_suite, run_suite
-from .distributions import DataError, as_sample
-from .gev_maps import GevMapKind, map_triple
-from .moments import b_hat
+from .cusum import Family, family_suite, run_batch
+from .distributions import DataError, GevParams, as_sample
+from .gev_maps import approx_map_rows, map_outcome
+from .moments import Estimator, full_sample_rows
+from .montecarlo import CHUNK
+
+# Unused here, but bench/spans.py wraps these names in this module.
+from .cusum import run_suite  # noqa: F401
+from .gev_maps import map_triple  # noqa: F401
+from .moments import b_hat  # noqa: F401
 
 _DELIMITERS = (",", ";", "\t")
 
@@ -165,8 +171,9 @@ def detie_report(
 
     Each replicate runs the three per-parameter tests of ``family`` on a
     fresh jittered copy and maps the copy's full-sample unbiased moments to
-    GEV parameters.  Replicates where any step raises are counted as
-    failures and excluded from the envelopes.
+    GEV parameters.  Replicates where any step fails are counted as
+    failures and excluded from the envelopes.  The copies are drawn in
+    order from one generator and tested in chunks of ``montecarlo.CHUNK``.
     """
     values = as_sample(sample)
     if replications < 1:
@@ -176,16 +183,20 @@ def detie_report(
     p_rows = []
     est_rows = []
     failures = 0
-    for _ in range(replications):
-        jittered = detie_replicate(values, rng)
+    for start in range(0, replications, CHUNK):
+        jittered = np.stack([detie_replicate(values, rng) for _ in range(min(CHUNK, replications - start))])
         try:
-            results = run_suite(jittered, configs)
-            params = map_triple(GevMapKind.PWM_APPROX, b_hat(jittered))
-        except (DataError, ValueError):
-            failures += 1
-            continue
-        p_rows.append([res.p_value for res in results])
-        est_rows.append([params.mu, params.sigma, params.xi])
+            triples = full_sample_rows(jittered, Estimator.B_HAT)
+        except DataError:  # fewer than 3 observations: every copy fails
+            triples = np.full((len(jittered), 3), np.nan)
+        params = approx_map_rows("pwm", triples)
+        for cells, triple, row in zip(run_batch(jittered, configs), triples, params):
+            est = map_outcome("pwm", triple, row) if np.isfinite(triple).all() else None
+            if not isinstance(est, GevParams) or any(isinstance(cell, ValueError) for cell in cells):
+                failures += 1
+                continue
+            p_rows.append([res.p_value for res in cells])
+            est_rows.append([est.mu, est.sigma, est.xi])
     if not p_rows:
         raise DataError("every jittered replicate failed; series too short or degenerate")
     p_arr = np.asarray(p_rows)

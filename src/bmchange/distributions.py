@@ -61,9 +61,10 @@ def gev_cdf(x, p: GevParams):
     if abs(p.xi) < XI_ZERO_TOL:
         out = np.exp(-np.exp(-z))
     else:
-        t = np.maximum(1.0 + p.xi * z, 0.0)
+        # (1 + xi z)^(-1/xi) through log1p: near the Gumbel threshold the
+        # power form loses about 1/xi ulps of 1 + xi z
         with np.errstate(divide="ignore", over="ignore"):
-            out = np.exp(-np.power(t, -1.0 / p.xi))
+            out = np.exp(-np.exp(-np.log1p(np.maximum(p.xi * z, -1.0)) / p.xi))
     return float(out) if np.isscalar(x) else out
 
 
@@ -236,6 +237,16 @@ def as_sample(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise DataError("a sample must be a nonempty 1-D array of reals")
+    if not np.all(np.isfinite(arr)):
+        raise DataError("a sample must contain only finite values")
+    return arr
+
+
+def as_rows(values) -> np.ndarray:
+    """Validate a batch of samples: a 2-D array of finite reals, one per row."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2 or arr.size < 1:
+        raise DataError("a batch of samples must be a nonempty 2-D array of reals")
     if not np.all(np.isfinite(arr)):
         raise DataError("a sample must contain only finite values")
     return arr

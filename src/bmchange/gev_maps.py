@@ -208,9 +208,9 @@ _APPROX_TAGS = {GevMapKind.PWM_APPROX: "pwm", GevMapKind.GPWM_APPROX: "gpwm"}
 def _scale_location(form: _MapForm, m: np.ndarray, xi: np.ndarray, dxi=None):
     """Rows (mu, sigma, xi) given the shape column; with the shape gradient
     ``dxi`` also the (n, 3, 3) Jacobian d(mu, sigma, xi)/d(m1, m2, m3)."""
-    num, factor, shift = m @ form.scale, form.factor(xi), form.shift(xi)
+    num, factor, shift = np.vecdot(m, form.scale), form.factor(xi), form.shift(xi)
     sigma = num * factor
-    params = np.array([m @ form.location + sigma * shift, sigma, xi]).T
+    params = np.array([np.vecdot(m, form.location) + sigma * shift, sigma, xi]).T
     if dxi is None:
         return params
     dsigma = factor[:, None] * form.scale + (num * form.factor_prime(xi))[:, None] * dxi
@@ -234,15 +234,30 @@ def approx_map_rows(family_tag: str, m: np.ndarray, grad: bool = False):
         return _scale_location(form, m, xi, dxi)
 
 
+def _domain_error(family_tag: str, m) -> FeasibilityError:
+    return FeasibilityError(
+        f"moment triple {tuple(np.asarray(m, dtype=float).tolist())} outside the domain of the {family_tag} approximation"
+    )
+
+
 def _approx_one(family_tag: str, m, grad: bool = False):
     """:func:`approx_map_rows` on one triple; FeasibilityError off the domain."""
     arr = _as_triple_array(m)
     out = approx_map_rows(family_tag, arr[None], grad)
     if np.isnan((out[0] if grad else out)[0, 2]):
-        raise FeasibilityError(
-            f"moment triple {tuple(arr.tolist())} outside the domain of the {family_tag} approximation"
-        )
+        raise _domain_error(family_tag, arr)
     return out
+
+
+def map_outcome(family_tag: str, m, row: np.ndarray):
+    """What the scalar approximate map gives for triple ``m``, from its row
+    ``row`` of :func:`approx_map_rows`: GevParams, or the error it raises."""
+    if np.isnan(row[2]):
+        return _domain_error(family_tag, m)
+    try:
+        return GevParams(*row.tolist())
+    except ValueError as exc:
+        return exc
 
 
 def pwm_to_gev_approx(m) -> GevParams:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EULER_GAMMA, DataError, GevParams, as_sample, gamma_fn
+from .distributions import EULER_GAMMA, DataError, GevParams, as_rows, as_sample, gamma_fn
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -51,9 +51,10 @@ class WeightFamily:
             out[:, 2] = u * u
         else:
             lu = np.log(u)
-            out[:, 0] = -u * lu
-            out[:, 1] = u * lu * lu
-            out[:, 2] = -u * u * lu
+            ulu = u * lu
+            np.negative(ulu, out=out[:, 0])
+            np.multiply(ulu, lu, out=out[:, 1])
+            np.multiply(-u * u, lu, out=out[:, 2])
         return out
 
     def nu_prime_matrix(self, u: np.ndarray) -> np.ndarray:
@@ -111,18 +112,34 @@ def _plotting_positions(n: int, gamma: float) -> np.ndarray:
     return (np.arange(1, n + 1) + gamma) / n
 
 
-def beta_hat(sample, family: WeightFamily = PWM, gamma: float = -0.35) -> MomentTriple:
-    """Plotting-position moment estimator over the whole sample.
+def full_sample_rows(values: np.ndarray, estimator: Estimator, family: WeightFamily = PWM, gamma: float = -0.35):
+    """Whole-sample moments along the last axis: (3,) for a sample, (R, 3) for rows.
 
-    Ranks are assigned by stable sorted position, so the estimator equals
-    the sorted-sample form (1/n) sum_j X_(j) nu_i((j + gamma)/n).
+    Ranks are assigned by stable sorted position, so the plotting-position
+    estimator equals the sorted-sample form (1/n) sum_j X_(j) nu_i((j + gamma)/n).
     """
-    values = np.sort(as_sample(sample), kind="stable")
-    n = values.size
+    s = np.sort(values, axis=-1, kind="stable")
+    n = s.shape[-1]
+    if estimator is Estimator.B_HAT:
+        if n < 3:
+            raise DataError("the unbiased estimator needs at least 3 observations")
+        return _row_products(s, _b_weights(n)) / n
     pos = _plotting_positions(n, gamma)
     if family.tag == "gpwm" and pos[0] <= 0.0:
         raise DataError("log-weight moments need strictly positive ecdf values; use gamma >= 0")
-    m = values @ family.nu_matrix(pos) / n
+    return _row_products(s, family.nu_matrix(pos)) / n
+
+
+def _row_products(s: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``s @ weights`` along the last axis of ``s``, one matrix-vector
+    product per row, so that a row's result does not depend on how many
+    rows are stacked with it (a matrix-matrix product does)."""
+    return (s[..., None, :] @ weights)[..., 0, :]
+
+
+def beta_hat(sample, family: WeightFamily = PWM, gamma: float = -0.35) -> MomentTriple:
+    """Plotting-position moment estimator over the whole sample."""
+    m = full_sample_rows(as_sample(sample), Estimator.BETA_HAT, family, gamma)
     return MomentTriple(*m, family=family, estimator=Estimator.BETA_HAT, gamma=gamma)
 
 
@@ -138,11 +155,7 @@ def _b_weights(n: int) -> np.ndarray:
 
 def b_hat(sample) -> MomentTriple:
     """Unbiased order-statistics moment estimator; needs n >= 3."""
-    values = np.sort(as_sample(sample), kind="stable")
-    n = values.size
-    if n < 3:
-        raise DataError("the unbiased estimator needs at least 3 observations")
-    m = values @ _b_weights(n) / n
+    m = full_sample_rows(as_sample(sample), Estimator.B_HAT)
     return MomentTriple(*m, family=PWM, estimator=Estimator.B_HAT)
 
 
@@ -235,50 +248,68 @@ def prefix_suffix_moments(
     ``suffix[k]`` those of ``X_{k+1}..X_n`` (row n unused).  Rows below the
     estimator's minimum subsample size are flagged invalid rather than
     zero-filled, so they can never win the CUSUM maximum.
+
+    An (R, n) array of R samples gives ``prefix`` and ``suffix`` of shape
+    (R, n + 1, 3); the validity flags depend on k only and keep shape
+    (n + 1,).
     """
-    values = as_sample(sample)
-    n = values.size
+    batch = np.ndim(sample) == 2
+    values = as_rows(sample) if batch else as_sample(sample)[None]
+    n = values.shape[1]
     if n < 2:
         raise DataError("need at least 2 observations to split")
     if estimator is Estimator.B_HAT and family.tag != "pwm":
         raise DataError("the unbiased estimator is defined for the classical weights only")
-    pre_m, pre_ok = _running_prefix(values, estimator, family, gamma)
-    suf_rev, suf_rev_ok = _running_prefix(values[::-1], estimator, family, gamma)
+    prefix, prefix_valid = _running_prefix(values, estimator, family, gamma)
+    suf_rev, suf_rev_ok = _running_prefix(values[:, ::-1], estimator, family, gamma)
     # suffix over X_{k+1}..X_n has length n-k = reversed-prefix length n-k
-    suffix = np.full((n + 1, 3), np.nan)
-    suffix_valid = np.zeros(n + 1, dtype=bool)
-    suffix[:n] = suf_rev[n - np.arange(n)]
-    suffix_valid[:n] = suf_rev_ok[n - np.arange(n)]
-    prefix = np.vstack([np.full((1, 3), np.nan), pre_m[1:]])
-    prefix_valid = np.concatenate([[False], pre_ok[1:]])
-    return prefix, prefix_valid, suffix, suffix_valid
+    suffix = suf_rev[:, ::-1]
+    suffix_valid = suf_rev_ok[::-1]
+    if batch:
+        return prefix, prefix_valid, suffix, suffix_valid
+    return prefix[0], prefix_valid, suffix[0], suffix_valid
 
 
 def _running_prefix(values: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float):
-    """Moments of X_1..X_k for every k, via incremental sorted insertion."""
-    n = values.size
-    out = np.full((n + 1, 3), np.nan)
+    """Moments of X_1..X_k of every row for every k, via incremental sorted insertion.
+
+    ``values`` is (R, n).  Each step inserts every row's new value into that
+    row's sorted buffer, then takes the moments of all rows as one product
+    with a (k, 3) weight matrix that the rows share.
+    """
+    rows, n = values.shape
+    out = np.full((rows, n + 1, 3), np.nan)
     ok = np.zeros(n + 1, dtype=bool)
-    sorted_buf = np.empty(n)
+    buf, spare = np.empty((rows, n)), np.empty((rows, n))
     min_size = 3 if estimator is Estimator.B_HAT else 1
     if estimator is Estimator.BETA_HAT and family.tag == "gpwm" and 1.0 + gamma <= 0.0:
         raise DataError("log-weight moments need strictly positive ecdf values; use gamma >= 0")
     jm1 = np.arange(0.0, n)            # j - 1 for j = 1..n
-    jm1m2 = jm1 * np.arange(-1.0, n - 1)
+    # rows 1, j-1, (j-1)(j-2); one dot product per row and column
+    b_weights = np.stack([np.ones(n), jm1, jm1 * (jm1 - 1.0)])
+    j_gamma = np.arange(1, n + 1) + gamma
     for k in range(1, n + 1):
-        x = values[k - 1]
-        idx = np.searchsorted(sorted_buf[: k - 1], x, side="right")
-        sorted_buf[idx + 1 : k] = sorted_buf[idx : k - 1]
-        sorted_buf[idx] = x
+        x = values[:, k - 1]
+        prev = buf[:, : k - 1]
+        if rows == 1:
+            idx = np.searchsorted(prev[0], x[0], side="right")
+            buf[0, idx + 1 : k] = prev[0, idx:]
+            buf[0, idx] = x[0]
+        else:
+            # branchless merge: new[j] = min(old[j], max(x, old[j-1]))
+            nxt = spare[:, :k]
+            np.maximum(prev, x[:, None], out=nxt[:, 1:])
+            nxt[:, 0] = x
+            np.minimum(nxt[:, : k - 1], prev, out=nxt[:, : k - 1])
+            buf, spare = spare, buf
         if k < min_size:
             continue
-        s = sorted_buf[:k]
+        s = buf[:, :k]
         if estimator is Estimator.B_HAT:
-            out[k, 0] = s.mean()
-            out[k, 1] = (jm1[:k] @ s) / (k * (k - 1.0))
-            out[k, 2] = (jm1m2[:k] @ s) / (k * (k - 1.0) * (k - 2.0))
+            out[:, k] = np.vecdot(s[:, None, :], b_weights[:, :k]) / np.array(
+                [k, k * (k - 1.0), k * (k - 1.0) * (k - 2.0)]
+            )
         else:
-            pos = (np.arange(1, k + 1) + gamma) / k
-            out[k] = s @ family.nu_matrix(pos) / k
+            out[:, k] = _row_products(s, family.nu_matrix(j_gamma[:k] / k)) / k
         ok[k] = True
     return out, ok

@@ -1,12 +1,18 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmchange.cusum import (
     Family,
     TestConfig,
+    TestResult,
     family_suite,
     pseudo_observations,
     recenter,
+    run_batch,
     run_suite,
     run_test,
     sigma_hat,
@@ -227,3 +233,56 @@ def test_run_suite_agrees_with_its_parts(rng, family, do_recenter):
         if not do_recenter:
             assert statistic(x, cfg) == (res.statistic, res.argmax_k, res.skipped_k)
             assert sigma_hat(x, cfg) == res.sigma_hat
+
+
+# Every config of one family is listed together, so the groups of run_suite
+# come in config order and its first failure is the first failed cell.
+_BATCH_CONFIGS = [
+    *family_suite(Family.PWM_T, r=3),
+    *family_suite(Family.PWM_S, r=3),
+    *family_suite(Family.GPWM_S, r=3),
+    TestConfig(family=Family.PWM_S, target="xi", r=3, recenter=False),
+]
+
+
+def _alone(sample, cfg):
+    try:
+        return run_test(sample, cfg)
+    except ValueError as exc:
+        return exc
+
+
+@given(
+    st.integers(12, 30).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=1, max_size=4)
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=25, deadline=None)
+def test_run_batch_matches_each_row_alone(tied_rows, shuffle):
+    n = len(tied_rows[0])
+    fixed = [
+        np.r_[np.zeros(n - 1), 1.0],  # pwm-t, gpwm cannot recenter; pwm-s has no feasible split
+        np.r_[np.ones(n - 1), 0.0],  # all but one tied, the other way round
+        np.r_[np.ones(n - 1), np.inf],  # not a sample
+    ]
+    rows = [np.array(r, dtype=float) / 2.0 for r in tied_rows] + fixed
+    shuffle.shuffle(rows)
+    cells = run_batch(np.array(rows), _BATCH_CONFIGS)
+    assert len(cells) == len(rows)
+    for sample, row_cells in zip(rows, cells):
+        for cfg, cell in zip(_BATCH_CONFIGS, row_cells):
+            alone = _alone(sample, cfg)
+            if isinstance(alone, Exception):
+                assert (type(cell), str(cell)) == (type(alone), str(alone))
+                continue
+            assert isinstance(cell, TestResult)
+            assert (cell.argmax_k, cell.skipped_k) == (alone.argmax_k, alone.skipped_k)
+            for field in ("statistic", "sigma_hat", "p_value"):
+                assert getattr(cell, field) == pytest.approx(getattr(alone, field), rel=1e-12, abs=0.0)
+        failures = [cell for cell in row_cells if isinstance(cell, Exception)]
+        if failures:
+            with pytest.raises(type(failures[0]), match=re.escape(str(failures[0]))):
+                run_suite(sample, _BATCH_CONFIGS)
+        else:
+            assert run_suite(sample, _BATCH_CONFIGS) == row_cells

@@ -178,3 +178,33 @@ def test_prefix_suffix_reversal_symmetry(rng):
 def test_prefix_suffix_rejects_bhat_gpwm():
     with pytest.raises(DataError):
         prefix_suffix_moments([1.0, 2.0, 3.0], Estimator.B_HAT, GPWM, 0.0)
+
+
+# batches of equally long samples on a coarse grid, so that ties are common
+tied_batches = st.integers(6, 30).flatmap(
+    lambda n: st.sampled_from([1, 3, 7]).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=rows, max_size=rows
+        )
+    )
+).map(lambda rows: np.array(rows, dtype=float) / 4.0)
+
+
+@given(tied_batches)
+@settings(max_examples=40, deadline=None)
+def test_prefix_suffix_rows_against_naive(batch):
+    rows, n = batch.shape
+    for estimator, family, gamma in (
+        (Estimator.B_HAT, PWM, -0.35),
+        (Estimator.BETA_HAT, PWM, -0.35),
+        (Estimator.BETA_HAT, GPWM, 0.0),
+    ):
+        pre, pre_ok, suf, suf_ok = prefix_suffix_moments(batch, estimator, family, gamma)
+        assert pre.shape == suf.shape == (rows, n + 1, 3)
+        min_size = 3 if estimator is Estimator.B_HAT else 1
+        np.testing.assert_array_equal(pre_ok, np.arange(n + 1) >= min_size)
+        np.testing.assert_array_equal(suf_ok, n - np.arange(n + 1) >= min_size)
+        for row in range(rows):
+            naive_pre, naive_suf = _naive_engine(batch[row], estimator, family, gamma)
+            np.testing.assert_allclose(pre[row][pre_ok], naive_pre[pre_ok], atol=1e-12, rtol=1e-12)
+            np.testing.assert_allclose(suf[row][suf_ok], naive_suf[suf_ok], atol=1e-12, rtol=1e-12)

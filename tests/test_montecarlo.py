@@ -6,6 +6,7 @@ import pytest
 from bmchange.cusum import Family, TestConfig
 from bmchange.distributions import DataError, GevParams, GevDist
 from bmchange.montecarlo import (
+    CHUNK,
     BlockMaxGen,
     ChangeGen,
     NullGen,
@@ -19,6 +20,7 @@ from bmchange.montecarlo import (
     scenario_from_dict,
     table_runner,
     rows_to_csv,
+    _run_chunk,
 )
 
 
@@ -102,6 +104,41 @@ def test_run_scenario_jobs_independent():
     assert serial.skipped_splits == parallel.skipped_splits
     assert serial.failures == parallel.failures
     assert serial.to_json() == parallel.to_json()
+
+
+def test_chunk_boundaries_do_not_move_replicates():
+    s = _tiny_scenario(
+        reps=70,
+        tests=[TestConfig(family=Family.PWM_T, target="xi"), TestConfig(family=Family.GPWM_S, target="mu")],
+    )
+    whole = _run_chunk((s, 0, 70))
+    assert len(whole) == 70
+    for bounds in ((0, 32, 64, 70), (0, 1, 5, 69, 70)):
+        pieces = [row for lo, hi in zip(bounds, bounds[1:]) for row in _run_chunk((s, lo, hi))]
+        assert pieces == whole
+
+
+def test_simulate_jobs_identical_with_partial_chunk(tmp_path):
+    from click.testing import CliRunner
+
+    from bmchange.cli import main
+
+    assert 70 % CHUNK
+    spec = {
+        "name": "partial-chunk",
+        "n": 40,
+        "generator": {"kind": "null", "dist": {"family": "gev", "mu": 0, "sigma": 1, "xi": 0.1}},
+        "tests": [{"family": "pwm-t", "target": "sigma"}, {"family": "pwm-s", "target": "xi"}],
+        "replications": 70,
+    }
+    f = tmp_path / "scenario.json"
+    f.write_text(json.dumps(spec))
+    outs = []
+    for jobs in ("1", "2"):
+        res = CliRunner().invoke(main, ["simulate", "--scenario", str(f), "--seed", "5", "--jobs", jobs])
+        assert res.exit_code == 0, res.output
+        outs.append(res.stdout.encode())
+    assert outs[0] == outs[1]
 
 
 def test_report_serialization():
