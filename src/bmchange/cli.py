@@ -6,7 +6,6 @@ All reports embed the fully resolved configuration and a schema version.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -16,7 +15,7 @@ from . import montecarlo as mc
 from .cusum import TARGETS, Family, TestConfig, run_suite
 from .distributions import DataError, FeasibilityError
 from .gev_maps import GevMapKind, map_triple
-from .moments import GPWM, PWM, b_hat, beta_hat, in_dxi
+from .moments import DXI_CONDITIONS, GPWM, PWM, b_hat, beta_hat, dxi_margins
 
 SCHEMA_VERSION = 1
 
@@ -48,14 +47,6 @@ def _load_series(path, column):
         _fail(2, str(exc))
     except DataError as exc:
         _fail(2, str(exc))
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("BMCHANGE_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @click.group()
@@ -149,32 +140,25 @@ def cmd_estimate(file, column, family, gamma):
     """
     values = _load_series(file, column)
     try:
+        triples = {"beta_hat": beta_hat(values, PWM if family == "pwm" else GPWM, gamma)}
         if family == "pwm":
-            g = -0.35 if gamma is None else gamma
-            triples = {"beta_hat": beta_hat(values, PWM, g)}
             if values.size >= 3:
                 triples["b_hat"] = b_hat(values)
             exact_kind, approx_kind = GevMapKind.PWM_EXACT, GevMapKind.PWM_APPROX
         else:
-            g = 0.0 if gamma is None else gamma
-            triples = {"beta_hat": beta_hat(values, GPWM, g)}
             exact_kind, approx_kind = GevMapKind.GPWM_EXACT, GevMapKind.GPWM_APPROX
         report = {
             "schema_version": SCHEMA_VERSION,
-            "config": {"file": str(file), "column": column, "family": family, "gamma": g},
+            "config": {"file": str(file), "column": column, "family": family, "gamma": triples["beta_hat"].gamma},
             "n": int(values.size),
             "estimates": {},
         }
         for name, triple in triples.items():
-            if family == "pwm" and not in_dxi(triple):
-                m1, m2, m3 = triple.m1, triple.m2, triple.m3
-                checks = [
-                    ("2*m2 - m1 > 0", 2 * m2 - m1),
-                    ("3*m3 - 2*m2 > 0", 3 * m3 - 2 * m2),
-                    ("-m1 + 4*m2 - 3*m3 > 0", -m1 + 4 * m2 - 3 * m3),
-                ]
-                violated = ", ".join(f"{c} (got {v:.6g})" for c, v in checks if not v > 0)
-                raise FeasibilityError(f"moments of {name} are infeasible: violated {violated}")
+            if family == "pwm":
+                margins = zip(DXI_CONDITIONS, dxi_margins(triple.as_array()))
+                violated = ", ".join(f"{c} (got {v:.6g})" for c, v in margins if not v > 0)
+                if violated:
+                    raise FeasibilityError(f"moments of {name} are infeasible: violated {violated}")
             approx = map_triple(approx_kind, triple)
             exact = map_triple(exact_kind, triple)
             report["estimates"][name] = {
@@ -235,7 +219,7 @@ def cmd_detie(file, column, replicates, seed, family, r, fmt):
 @click.option("--reps", type=int, default=None, help="Replications per cell (default 1000).")
 @click.option("--reduced", is_flag=True, help="Run a small subset of the table's grid.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=None, help="Worker processes (default $BMCHANGE_JOBS or 1).")
+@click.option("--jobs", type=int, default=1, envvar="BMCHANGE_JOBS", help="Worker processes (default $BMCHANGE_JOBS or 1).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def cmd_simulate(table_id, scenario_path, reps, reduced, seed, jobs, fmt):
     """Estimate rejection rates by simulation.
@@ -248,7 +232,7 @@ def cmd_simulate(table_id, scenario_path, reps, reduced, seed, jobs, fmt):
         _fail(2, "pass exactly one of --table or --scenario")
     if reps is not None and reps < 1:
         _fail(2, "--reps must be at least 1")
-    jobs = _default_jobs() if jobs is None else max(1, jobs)
+    jobs = max(1, jobs)
     replications = 1000 if reps is None else reps
     if scenario_path is not None:
         try:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import DataError, FeasibilityError, GevParams, as_rows, as_sample, kolmogorov_cdf
-from .gev_maps import PARAMS, GevMapKind, approx_map_rows, map_outcome
+from .gev_maps import PARAMS, approx_map_rows, map_outcome
 from .moments import (
     GPWM,
     PWM,
@@ -27,13 +27,13 @@ from .moments import (
     WeightFamily,
     full_sample_rows,
     in_dh_rows,
-    in_dxi_rows,
+    position_numerators,
     prefix_suffix_moments,
 )
 
 # Unused here, but bench/spans.py wraps these names in this module.
 from .gev_maps import jacobian, map_triple  # noqa: F401
-from .moments import b_hat, beta_hat  # noqa: F401
+from .moments import b_hat, beta_hat, in_dxi_rows  # noqa: F401
 
 TARGETS = PARAMS
 
@@ -45,9 +45,9 @@ class Family(enum.Enum):
 
 
 _FAMILY_SETUP = {
-    Family.PWM_T: (Estimator.B_HAT, PWM, -0.35, GevMapKind.PWM_APPROX),
-    Family.PWM_S: (Estimator.BETA_HAT, PWM, -0.35, GevMapKind.PWM_APPROX),
-    Family.GPWM_S: (Estimator.BETA_HAT, GPWM, 0.0, GevMapKind.GPWM_APPROX),
+    Family.PWM_T: (Estimator.B_HAT, PWM),
+    Family.PWM_S: (Estimator.BETA_HAT, PWM),
+    Family.GPWM_S: (Estimator.BETA_HAT, GPWM),
 }
 
 
@@ -56,9 +56,9 @@ class TestConfig:
     """One test: a family, a target parameter, and the practical adjustments.
 
     ``gamma`` and ``variance_correction`` default to None and are resolved
-    per family/target: gamma is -0.35 for the classical weights and 0 for the
-    log weights; the variance inflation (n+10)/n applies to the pwm-t scale
-    test, (n+20)/n to the pwm-t shape test, 1 elsewhere.
+    per family/target: gamma is the weight family's ``default_gamma``; the
+    variance inflation (n+10)/n applies to the pwm-t scale test, (n+20)/n to
+    the pwm-t shape test, 1 elsewhere.
     """
 
     __test__ = False  # not a test case despite the name
@@ -81,7 +81,7 @@ class TestConfig:
     def resolved_gamma(self) -> float:
         if self.gamma is not None:
             return self.gamma
-        return _FAMILY_SETUP[self.family][2]
+        return _FAMILY_SETUP[self.family][1].default_gamma
 
     def resolved_correction(self, n: int) -> float:
         if self.variance_correction is not None:
@@ -127,7 +127,7 @@ class TestResult:
 
 
 def _full_sample_rows(values: np.ndarray, config: TestConfig) -> np.ndarray:
-    estimator, weights, _, _ = _FAMILY_SETUP[config.family]
+    estimator, weights = _FAMILY_SETUP[config.family]
     return full_sample_rows(values, estimator, weights, config.resolved_gamma())
 
 
@@ -171,14 +171,6 @@ def recenter(sample, config: TestConfig) -> np.ndarray:
     return values[0]
 
 
-def _rows_ok(rows: np.ndarray, pred) -> np.ndarray:
-    ok = np.zeros(rows.shape[0], dtype=bool)
-    finite = np.all(np.isfinite(rows), axis=1)
-    if finite.any():
-        ok[finite] = pred(rows[finite])
-    return ok
-
-
 class _Group(NamedTuple):
     """Per-family work shared by every target of a test group, over R rows."""
 
@@ -195,22 +187,23 @@ class _Group(NamedTuple):
 def _family_group(values: np.ndarray, config: TestConfig, do_recenter: bool) -> _Group:
     rows, n = values.shape
     r, family, gamma = config.r, config.family, config.resolved_gamma()
-    estimator, weights, _, _ = _FAMILY_SETUP[family]
-    errors = [None] * rows
+    estimator, weights = _FAMILY_SETUP[family]
+    tied = np.all(values == values[:, :1], axis=1)
+    errors = [DataError("all values are tied") if t else None for t in tied]
     try:
         if n < 2 * r:
             raise DataError(f"need n >= 2r = {2 * r} observations")
         if do_recenter:
-            values, errors = _recenter_rows(values, config)
+            values, recenter_errors = _recenter_rows(values, config)
+            errors = [e or f for e, f in zip(errors, recenter_errors)]
         prefix, pre_ok, suffix, suf_ok = prefix_suffix_moments(values, estimator, weights, gamma)
         ks = np.arange(r, n - r + 1)
         prefix, suffix = prefix[:, ks].reshape(-1, 3), suffix[:, ks].reshape(-1, 3)
         ok = np.broadcast_to(pre_ok[ks] & suf_ok[ks], (rows, ks.size)).ravel()
-        # the family's per-split indicator
-        if family is Family.PWM_S:
-            ok = ok & _rows_ok(prefix, in_dxi_rows) & _rows_ok(suffix, in_dxi_rows)
-        elif family is Family.GPWM_S:
-            ok = ok & _rows_ok(prefix, in_dh_rows) & _rows_ok(suffix, in_dh_rows)
+        # The pwm map is NaN off D_xi, so pwm-t and pwm-s skip exactly those
+        # splits; D_h is narrower than the domain of the gpwm map.
+        if family is Family.GPWM_S:
+            ok = ok & in_dh_rows(prefix) & in_dh_rows(suffix)
         left = np.where(ok[:, None], approx_map_rows(weights.tag, prefix), np.nan).reshape(rows, -1, 3)
         right = np.where(ok[:, None], approx_map_rows(weights.tag, suffix), np.nan).reshape(rows, -1, 3)
         del prefix, suffix
@@ -283,13 +276,14 @@ def statistic(sample, config: TestConfig):
     return float(stats.value[0]), int(group.ks[stats.index[0]]), skipped
 
 
-def pseudo_observations(sample, family: WeightFamily = PWM, gamma: float = -0.35) -> np.ndarray:
+def pseudo_observations(sample, family: WeightFamily = PWM, gamma: float | None = None) -> np.ndarray:
     """Per-observation influence values, one column per weight function.
 
     Column j of the result holds
     X_i nu_j(F(X_i)) + (1/n) sum_m X_m nu_j'(F(X_m)) 1(X_i <= X_m)
-    with F the modified empirical c.d.f. of the full sample.  An (R, n)
-    array of samples gives an (R, n, 3) result.
+    with F the modified empirical c.d.f. of the full sample (offset gamma,
+    None for the family's default).  An (R, n) array of samples gives an
+    (R, n, 3) result.
     """
     batch = np.ndim(sample) == 2
     values = as_rows(sample) if batch else as_sample(sample)[None]
@@ -298,9 +292,7 @@ def pseudo_observations(sample, family: WeightFamily = PWM, gamma: float = -0.35
         raise DataError("need at least 2 observations")
     order = np.argsort(values, axis=1, kind="stable")
     s = np.take_along_axis(values, order, axis=1)
-    pos = (np.arange(1, n + 1) + gamma) / n
-    if family.tag == "gpwm" and pos[0] <= 0.0:
-        raise DataError("log-weight pseudo-observations need strictly positive ecdf values")
+    pos = position_numerators(n, family, gamma) / n
     nu = family.nu_matrix(pos)
     nup = family.nu_prime_matrix(pos)
     # tail sums from the largest value down: tail[:, n-1-j] sums sorted positions >= j

@@ -206,13 +206,6 @@ def sample_block_maxima(n_blocks: int, block_size: int, base, rng: np.random.Gen
 # --- special functions ------------------------------------------------------
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function; pole inputs (nonpositive integers) are rejected."""
-    if x <= 0 and float(x) == int(x):
-        raise DataError(f"gamma_fn pole at x={x}")
-    return math.gamma(x)
-
-
 def kolmogorov_cdf(x: float) -> float:
     """C.d.f. of the supremum of a Brownian bridge (Kolmogorov distribution).
 

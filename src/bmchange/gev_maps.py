@@ -1,15 +1,17 @@
 """Maps from moment triples to GEV parameters.
 
 For each weight family there are two routes: an exact numeric solve of the
-moment system by bracketed bisection on the shape equation, and the classical
-closed-form approximations.  Both routes share the scale and location step
-that follows the shape.  The approximations are written once, row-wise, with
-an optional closed-form Jacobian that feeds the asymptotic-variance estimator
-of the tests; the scalar maps and :func:`jacobian` wrap the row form.
+moment system by a bracketed root search on the shape equation, and the
+classical closed-form approximations.  Both routes share the scale and
+location step that follows the shape.  The approximations are written once,
+row-wise, with an optional closed-form Jacobian that feeds the
+asymptotic-variance estimator of the tests; the scalar maps and
+:func:`jacobian` wrap the row form.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,7 +29,7 @@ from .moments import (
     SHAPE_BRACKET_LO,
     _as_triple_array,
     _gpwm_q,
-    gpwm_solver_target,
+    gpwm_ratio_rows,
     in_dxi,
     in_dxi_rows,
     shape_ratio_target,
@@ -59,24 +61,16 @@ class SolveFailure(FeasibilityError):
     """The shape equation has no root inside the search bracket."""
 
 
-def _bisect(fn, lo: float, hi: float, target: float, tol: float = 1e-12) -> float:
-    flo, fhi = fn(lo) - target, fn(hi) - target
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise SolveFailure("shape equation has no root in the search bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid) - target
-        if fmid == 0.0 or hi - lo < tol:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+def _solve_shape(fn, hi: float, target: float) -> float:
+    """Root of fn(xi) = target on [SHAPE_BRACKET_LO, hi]."""
+    # Imported here: scipy.optimize adds about 0.26 s and 23 MB to the start
+    # of every process, and only the exact maps need it.
+    from scipy.optimize import brentq
+
+    try:
+        return brentq(lambda xi: fn(xi) - target, SHAPE_BRACKET_LO, hi, xtol=1e-12)
+    except ValueError:  # no sign change over the bracket, or a NaN value
+        raise SolveFailure("shape equation has no root in the search bracket") from None
 
 
 # --- shape equation and scale/location factors -----------------------------
@@ -89,20 +83,32 @@ def _pwm_shape_ratio(xi: float) -> float:
     return math.expm1(xi * LOG3) / math.expm1(xi * LOG2)
 
 
+def _gumbel_limit(tol: float, limit: float):
+    """Decorate a function of xi with a removable singularity at 0: below
+    ``tol`` in absolute value it gives ``limit``, and the function is
+    evaluated at 0.5 there instead of near 0."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def at(xi):
+            small = np.abs(xi) < tol
+            return np.where(small, limit, fn(np.where(small, 0.5, xi)))
+
+        return at
+
+    return decorate
+
+
+@_gumbel_limit(XI_ZERO_TOL, 1.0 / LOG2)
 def _w(xi):
     """Scale factor xi / (Gamma(1-xi) (2^xi - 1)); w(0) = 1/log 2."""
-    small = np.abs(xi) < XI_ZERO_TOL
-    safe = np.where(small, 0.5, xi)
-    out = safe / (sp_gamma(1.0 - safe) * np.expm1(safe * LOG2))
-    return np.where(small, 1.0 / LOG2, out)
+    return xi / (sp_gamma(1.0 - xi) * np.expm1(xi * LOG2))
 
 
+@_gumbel_limit(XI_ZERO_TOL, -EULER_GAMMA)
 def _v(xi):
     """Location shift (1 - Gamma(1-xi))/xi; v(0) = -EulerGamma."""
-    small = np.abs(xi) < XI_ZERO_TOL
-    safe = np.where(small, 0.5, xi)
-    out = (1.0 - sp_gamma(1.0 - safe)) / safe
-    return np.where(small, -EULER_GAMMA, out)
+    return (1.0 - sp_gamma(1.0 - xi)) / xi
 
 
 def _u(xi):
@@ -110,45 +116,36 @@ def _u(xi):
     return np.power(2.0, 3.0 - xi) / sp_gamma(2.0 - xi)
 
 
+@_gumbel_limit(XI_ZERO_TOL, 1.0 - EULER_GAMMA - LOG2)
 def _z(xi):
     """(1 - 2^xi Gamma(2-xi))/xi; z(0) = 1 - EulerGamma - log 2."""
-    small = np.abs(xi) < XI_ZERO_TOL
-    safe = np.where(small, 0.5, xi)
-    g = np.power(2.0, safe) * sp_gamma(2.0 - safe)
-    return np.where(small, 1.0 - EULER_GAMMA - LOG2, (1.0 - g) / safe)
+    return (1.0 - np.power(2.0, xi) * sp_gamma(2.0 - xi)) / xi
 
 
+@_gumbel_limit(_DXI_SMALL, -(EULER_GAMMA + LOG2 / 2.0) / LOG2)
 def _w_prime(xi):
-    small = np.abs(xi) < _DXI_SMALL
-    safe = np.where(small, 0.5, xi)
-    e = np.expm1(safe * LOG2)
-    gam = sp_gamma(1.0 - safe)
+    e = np.expm1(xi * LOG2)
+    gam = sp_gamma(1.0 - xi)
     d = gam * e
-    dprime = gam * (-sp_psi(1.0 - safe) * e + np.power(2.0, safe) * LOG2)
-    out = (d - safe * dprime) / (d * d)
-    return np.where(small, -(EULER_GAMMA + LOG2 / 2.0) / LOG2, out)
+    dprime = gam * (-sp_psi(1.0 - xi) * e + np.power(2.0, xi) * LOG2)
+    return (d - xi * dprime) / (d * d)
 
 
+@_gumbel_limit(_DXI_SMALL, -(EULER_GAMMA**2 + ZETA2) / 2.0)
 def _v_prime(xi):
-    small = np.abs(xi) < _DXI_SMALL
-    safe = np.where(small, 0.5, xi)
-    gam = sp_gamma(1.0 - safe)
-    out = (safe * gam * sp_psi(1.0 - safe) + gam - 1.0) / (safe * safe)
-    return np.where(small, -(EULER_GAMMA**2 + ZETA2) / 2.0, out)
+    gam = sp_gamma(1.0 - xi)
+    return (xi * gam * sp_psi(1.0 - xi) + gam - 1.0) / (xi * xi)
 
 
 def _u_prime(xi):
     return _u(xi) * (-LOG2 + sp_psi(2.0 - xi))
 
 
+@_gumbel_limit(_DXI_SMALL, -((LOG2 - 1.0 + EULER_GAMMA) ** 2 + ZETA2 - 1.0) / 2.0)
 def _z_prime(xi):
-    small = np.abs(xi) < _DXI_SMALL
-    safe = np.where(small, 0.5, xi)
-    g = np.power(2.0, safe) * sp_gamma(2.0 - safe)
-    gprime = g * (LOG2 - sp_psi(2.0 - safe))
-    out = (g - 1.0 - safe * gprime) / (safe * safe)
-    b1 = LOG2 - 1.0 + EULER_GAMMA
-    return np.where(small, -(b1 * b1 + ZETA2 - 1.0) / 2.0, out)
+    g = np.power(2.0, xi) * sp_gamma(2.0 - xi)
+    gprime = g * (LOG2 - sp_psi(2.0 - xi))
+    return (g - 1.0 - xi * gprime) / (xi * xi)
 
 
 # --- approximations ---------------------------------------------------------
@@ -166,9 +163,7 @@ def _pwm_shape(m, grad):
 
 
 def _gpwm_shape(m, grad):
-    m1, m2, m3 = m.T
-    p, q = 2.0 * (m1 - m2), m1 - 2.25 * m3
-    x = p / q
+    p, q, x = gpwm_ratio_rows(m)
     xi = (_HF_C1 - np.power(-x, _HF_EXP)) / _HF_C0
     ok = (q != 0.0) & (x < 0.0)
     if not grad:
@@ -281,11 +276,11 @@ def jacobian(kind: GevMapKind, component: str, m) -> np.ndarray:
 
 
 def pwm_to_gev_exact(m) -> GevParams:
-    """Solve the classical moment system by bisection on the shape equation."""
+    """Solve the classical moment system by a root search on the shape equation."""
     arr = _as_triple_array(m)
     if not in_dxi(arr):
         raise FeasibilityError(f"moment triple {tuple(arr.tolist())} outside the feasibility region")
-    xi = _bisect(_pwm_shape_ratio, SHAPE_BRACKET_LO, PWM_SHAPE_HI, shape_ratio_target(arr))
+    xi = _solve_shape(_pwm_shape_ratio, PWM_SHAPE_HI, shape_ratio_target(arr))
     return GevParams(*_scale_location(_PWM, arr[None], np.array([xi]))[0].tolist())
 
 
@@ -294,9 +289,10 @@ def gpwm_to_gev_exact(m) -> GevParams:
     equation has no root in the bracket (that failure is what domain
     membership checks consume)."""
     arr = _as_triple_array(m)
-    if arr[0] - 2.25 * arr[2] == 0.0:
+    _, den, target = gpwm_ratio_rows(arr[None])
+    if den[0] == 0.0:
         raise SolveFailure("degenerate shape-equation denominator")
-    xi = _bisect(_gpwm_q, SHAPE_BRACKET_LO, GPWM_SHAPE_HI, gpwm_solver_target(arr))
+    xi = _solve_shape(_gpwm_q, GPWM_SHAPE_HI, float(target[0]))
     mu, sigma, _ = _scale_location(_GPWM, arr[None], np.array([xi]))[0].tolist()
     if sigma <= 0.0:
         raise SolveFailure("scale equation gives a nonpositive scale")

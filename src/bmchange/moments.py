@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EULER_GAMMA, DataError, GevParams, as_rows, as_sample, gamma_fn
+from .distributions import EULER_GAMMA, DataError, GevParams, as_rows, as_sample
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
 LOG32 = math.log(1.5)
+_ZETA3 = 1.2020569031595942  # Riemann zeta(3)
 
 # Shape bracket searched by the numeric GEV-map solvers.
 SHAPE_BRACKET_LO = -5.0
@@ -37,9 +38,11 @@ class Estimator(enum.Enum):
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """Weight functions nu_i on (0, 1] and their derivatives."""
+    """Weight functions nu_i on (0, 1] and their derivatives, with the
+    family's default plotting-position offset gamma."""
 
     tag: str
+    default_gamma: float
 
     def nu_matrix(self, u: np.ndarray) -> np.ndarray:
         """(len(u), 3) matrix of nu_i(u)."""
@@ -72,8 +75,8 @@ class WeightFamily:
         return out
 
 
-PWM = WeightFamily("pwm")
-GPWM = WeightFamily("gpwm")
+PWM = WeightFamily("pwm", -0.35)
+GPWM = WeightFamily("gpwm", 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,11 +111,17 @@ def ecdf(sample, x: float, gamma: float) -> float:
     return (float(np.count_nonzero(values <= x)) + gamma) / values.size
 
 
-def _plotting_positions(n: int, gamma: float) -> np.ndarray:
-    return (np.arange(1, n + 1) + gamma) / n
+def position_numerators(n: int, family: WeightFamily, gamma: float | None) -> np.ndarray:
+    """j + gamma for ranks j = 1..n: the plotting positions of a sample of
+    size k are (j + gamma)/k.  gamma None means the family's default; the
+    log weights need every position positive."""
+    gamma = family.default_gamma if gamma is None else gamma
+    if family.tag == "gpwm" and 1.0 + gamma <= 0.0:
+        raise DataError("log-weight moments need strictly positive ecdf values; use gamma >= 0")
+    return np.arange(1, n + 1) + gamma
 
 
-def full_sample_rows(values: np.ndarray, estimator: Estimator, family: WeightFamily = PWM, gamma: float = -0.35):
+def full_sample_rows(values: np.ndarray, estimator: Estimator, family: WeightFamily = PWM, gamma: float | None = None):
     """Whole-sample moments along the last axis: (3,) for a sample, (R, 3) for rows.
 
     Ranks are assigned by stable sorted position, so the plotting-position
@@ -124,10 +133,7 @@ def full_sample_rows(values: np.ndarray, estimator: Estimator, family: WeightFam
         if n < 3:
             raise DataError("the unbiased estimator needs at least 3 observations")
         return _row_products(s, _b_weights(n)) / n
-    pos = _plotting_positions(n, gamma)
-    if family.tag == "gpwm" and pos[0] <= 0.0:
-        raise DataError("log-weight moments need strictly positive ecdf values; use gamma >= 0")
-    return _row_products(s, family.nu_matrix(pos)) / n
+    return _row_products(s, family.nu_matrix(position_numerators(n, family, gamma) / n)) / n
 
 
 def _row_products(s: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -137,8 +143,10 @@ def _row_products(s: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (s[..., None, :] @ weights)[..., 0, :]
 
 
-def beta_hat(sample, family: WeightFamily = PWM, gamma: float = -0.35) -> MomentTriple:
-    """Plotting-position moment estimator over the whole sample."""
+def beta_hat(sample, family: WeightFamily = PWM, gamma: float | None = None) -> MomentTriple:
+    """Plotting-position moment estimator over the whole sample; gamma None
+    means the family's default."""
+    gamma = family.default_gamma if gamma is None else gamma
     m = full_sample_rows(as_sample(sample), Estimator.BETA_HAT, family, gamma)
     return MomentTriple(*m, family=family, estimator=Estimator.BETA_HAT, gamma=gamma)
 
@@ -168,15 +176,22 @@ def exact_pwm_gev(p: GevParams) -> MomentTriple:
     """
     if p.xi >= 1.0:
         raise DataError("population moments need shape < 1 (finite mean)")
+    xi = p.xi
+    # log Gamma(1 - xi): near 0 by its Taylor series, since rounding 1 - xi
+    # costs (Gamma(1 - xi) - 1)/xi about 1e-16/|xi| relative
+    if abs(xi) < 1e-4:
+        log_gamma = xi * (EULER_GAMMA + xi * (math.pi**2 / 12.0 + xi * _ZETA3 / 3.0))
+    else:
+        log_gamma = math.lgamma(1.0 - xi)
     out = []
     for i in (1, 2, 3):
-        if abs(p.xi) < 1e-12:
+        if abs(xi) < 1e-12:
             loc, scale = p.mu + p.sigma * math.log(i), p.sigma
             mean = loc + scale * EULER_GAMMA
         else:
-            loc = p.mu + p.sigma * (i ** p.xi - 1.0) / p.xi
-            scale = p.sigma * i ** p.xi
-            mean = loc + scale * (gamma_fn(1.0 - p.xi) - 1.0) / p.xi
+            loc = p.mu + p.sigma * math.expm1(xi * math.log(i)) / xi
+            scale = p.sigma * i**xi
+            mean = loc + scale * math.expm1(log_gamma) / xi
         out.append(mean / i)
     return MomentTriple(*out, family=PWM, estimator=Estimator.EXACT)
 
@@ -192,10 +207,18 @@ def shape_ratio_target(m) -> float:
     return (3 * m3 - m1) / (2 * m2 - m1)
 
 
+def gpwm_ratio_rows(m: np.ndarray):
+    """Numerator 2 (m1 - m2), denominator m1 - 9/4 m3 and their ratio, per
+    row of an (n, 3) array: the ratio is matched against xi/(1 - (3/2)^xi)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        num = 2.0 * (m[:, 0] - m[:, 1])
+        den = m[:, 0] - 2.25 * m[:, 2]
+        return num, den, num / den
+
+
 def gpwm_solver_target(m) -> float:
     """2 (m1 - m2)/(m1 - 9/4 m3), matched against xi/(1 - (3/2)^xi)."""
-    m1, m2, m3 = _as_triple_array(m)
-    return 2.0 * (m1 - m2) / (m1 - 2.25 * m3)
+    return float(gpwm_ratio_rows(_as_triple_array(m)[None])[2][0])
 
 
 def _gpwm_q(xi: float) -> float:
@@ -221,25 +244,33 @@ def in_dh(m) -> bool:
 
 
 def in_dh_rows(m: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`in_dh` over rows of an (n, 3) array."""
-    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
-    denom = m1 - 2.25 * m3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        target = 2.0 * (m1 - m2) / denom
-    return (m1 - m2 > 0.0) & (denom != 0.0) & (target > GPWM_TARGET_LO) & (target < GPWM_TARGET_HI)
+    """Vectorized :func:`in_dh` over rows of an (n, 3) array; False on a
+    row that is not finite."""
+    num, den, target = gpwm_ratio_rows(m)
+    return (num > 0.0) & (den != 0.0) & (target > GPWM_TARGET_LO) & (target < GPWM_TARGET_HI)
+
+
+# D_xi is where all three margins are positive; one label per margin.
+DXI_CONDITIONS = ("2*m2 - m1 > 0", "3*m3 - 2*m2 > 0", "-m1 + 4*m2 - 3*m3 > 0")
+
+
+def dxi_margins(m: np.ndarray):
+    """The three margins of D_xi along the last axis of ``m`` (see DXI_CONDITIONS)."""
+    m1, m2, m3 = m[..., 0], m[..., 1], m[..., 2]
+    return 2 * m2 - m1, 3 * m3 - 2 * m2, -m1 + 4 * m2 - 3 * m3
 
 
 def in_dxi_rows(m: np.ndarray) -> np.ndarray:
     """Vectorized :func:`in_dxi` over rows of an (n, 3) array."""
-    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
-    return (2 * m2 - m1 > 0) & (3 * m3 - 2 * m2 > 0) & (-m1 + 4 * m2 - 3 * m3 > 0)
+    a, b, c = dxi_margins(m)
+    return (a > 0) & (b > 0) & (c > 0)
 
 
 def prefix_suffix_moments(
     sample,
     estimator: Estimator,
     family: WeightFamily = PWM,
-    gamma: float = -0.35,
+    gamma: float | None = None,
 ):
     """Subsample moments at every split of the sample.
 
@@ -282,12 +313,10 @@ def _running_prefix(values: np.ndarray, estimator: Estimator, family: WeightFami
     ok = np.zeros(n + 1, dtype=bool)
     buf, spare = np.empty((rows, n)), np.empty((rows, n))
     min_size = 3 if estimator is Estimator.B_HAT else 1
-    if estimator is Estimator.BETA_HAT and family.tag == "gpwm" and 1.0 + gamma <= 0.0:
-        raise DataError("log-weight moments need strictly positive ecdf values; use gamma >= 0")
+    j_gamma = position_numerators(n, family, gamma)
     jm1 = np.arange(0.0, n)            # j - 1 for j = 1..n
     # rows 1, j-1, (j-1)(j-2); one dot product per row and column
     b_weights = np.stack([np.ones(n), jm1, jm1 * (jm1 - 1.0)])
-    j_gamma = np.arange(1, n + 1) + gamma
     for k in range(1, n + 1):
         x = values[:, k - 1]
         prev = buf[:, : k - 1]

@@ -55,6 +55,16 @@ def test_cmd_test_tie_warning(runner, tied_file):
     assert "detie" in res.stderr
 
 
+@pytest.mark.parametrize("family", ["pwm-t", "pwm-s", "gpwm"])
+def test_cmd_test_all_tied_exit_2(runner, tmp_path, family):
+    f = tmp_path / "tied.csv"
+    f.write_text("1.5\n" * 40)
+    res = runner.invoke(main, ["test", str(f), "--family", family])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == ["error: all values are tied"]
+
+
 def test_cmd_test_missing_file(runner):
     res = runner.invoke(main, ["test", "/nonexistent/series.csv"])
     assert res.exit_code == 2

@@ -32,7 +32,8 @@ def exact_gpwm_gev(p: GevParams) -> MomentTriple:
 
 
 def test_pwm_exact_roundtrip():
-    for p in (GevParams(0, 1, 0.3), GevParams(2, 0.5, -0.6), GevParams(-3, 4, 0.9)):
+    shapes = (1e-9, -1e-9, -0.9, 0.95)  # Gumbel branch, both bracket ends
+    for p in (GevParams(0, 1, 0.3), GevParams(2, 0.5, -0.6), GevParams(-3, 4, 0.9), *(GevParams(1, 2, x) for x in shapes)):
         got = pwm_to_gev_exact(exact_pwm_gev(p))
         assert got.mu == pytest.approx(p.mu, abs=1e-8)
         assert got.sigma == pytest.approx(p.sigma, abs=1e-8)
@@ -40,7 +41,8 @@ def test_pwm_exact_roundtrip():
 
 
 def test_gpwm_exact_roundtrip():
-    for p in (GevParams(0, 1, 0.0), GevParams(1, 2, 0.5), GevParams(-1, 0.5, -0.4), GevParams(0, 1, 1.5)):
+    shapes = (1e-9, -1e-9, -0.9, 1.9)  # Gumbel branch, both bracket ends
+    for p in (GevParams(0, 1, 0.0), GevParams(1, 2, 0.5), GevParams(-1, 0.5, -0.4), GevParams(0, 1, 1.5), *(GevParams(1, 2, x) for x in shapes)):
         got = gpwm_to_gev_exact(exact_gpwm_gev(p))
         assert got.mu == pytest.approx(p.mu, abs=1e-6)
         assert got.sigma == pytest.approx(p.sigma, abs=1e-6)

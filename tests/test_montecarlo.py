@@ -133,12 +133,15 @@ def test_simulate_jobs_identical_with_partial_chunk(tmp_path):
     }
     f = tmp_path / "scenario.json"
     f.write_text(json.dumps(spec))
+    base = ["simulate", "--scenario", str(f), "--seed", "5"]
     outs = []
-    for jobs in ("1", "2"):
-        res = CliRunner().invoke(main, ["simulate", "--scenario", str(f), "--seed", "5", "--jobs", jobs])
+    for args, env in ((["--jobs", "1"], {}), (["--jobs", "2"], {}), ([], {"BMCHANGE_JOBS": "2"})):
+        res = CliRunner().invoke(main, base + args, env=env)
         assert res.exit_code == 0, res.output
         outs.append(res.stdout.encode())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
+    res = CliRunner().invoke(main, base, env={"BMCHANGE_JOBS": "abc"})
+    assert res.exit_code == 2
 
 
 def test_report_serialization():
