@@ -1,7 +1,7 @@
 """Classical studentized CUSUM tests for changes in mean and variance.
 
 These serve as comparison columns next to the moment-based tests; they share
-the Kolmogorov p-value machinery.
+the split maximum and the Kolmogorov p-value of :mod:`bmchange.cusum`.
 """
 from __future__ import annotations
 
@@ -9,56 +9,49 @@ import math
 
 import numpy as np
 
-from .distributions import DataError, as_sample, kolmogorov_cdf
-from .cusum import TestConfig, TestResult, Family
+from .distributions import DataError, as_sample
+from .cusum import TestResult, _raise_if_error, finite_rows, split_max, studentize
+
+# Unused here, but bench/spans.py wraps this name in this module.
+from .distributions import kolmogorov_cdf  # noqa: F401
+
+BASELINES = ("mean", "variance")
 
 
-def _cusum_on(values: np.ndarray, r: int):
-    n = values.size
-    ks = np.arange(r, n - r + 1)
-    csum = np.cumsum(values)
-    total = csum[-1]
-    left_mean = csum[ks - 1] / ks
-    right_mean = (total - csum[ks - 1]) / (n - ks)
-    vals = ks * (n - ks) / n**1.5 * np.abs(left_mean - right_mean)
-    idx = int(np.argmax(vals))
-    return float(vals[idx]), int(ks[idx])
-
-
-def _studentized(values: np.ndarray, r: int, config: TestConfig) -> TestResult:
-    n = values.size
+def _cells(values: np.ndarray, r: int, name: str) -> list:
+    """One baseline over every row of an (R, n) array: a TestResult or the
+    row's DataError.  The variance test is the mean test applied to squared
+    deviations from each row's mean."""
+    if r < 1:
+        raise DataError("trim r must be at least 1")
+    rows, n = values.shape
     if n < 2 * r:
-        raise DataError(f"need n >= 2r = {2 * r} observations")
-    var = float(np.var(values))  # 1/n normalization, matching the plug-in covariances
-    if not var > 0.0:
-        raise DataError("degenerate sample: zero variance")
-    stat, argmax_k = _cusum_on(values, r)
-    sd = math.sqrt(var)
-    p = 1.0 - kolmogorov_cdf(stat / sd)
-    return TestResult(
-        statistic=stat,
-        sigma_hat=sd,
-        p_value=p,
-        argmax_k=argmax_k,
-        left_params=None,
-        right_params=None,
-        skipped_k=(),
-        config=config,
-        n=n,
-    )
+        return [DataError(f"need n >= 2r = {2 * r} observations")] * rows
+    if name == "variance":
+        values = (values - values.mean(axis=1, keepdims=True)) ** 2
+    var = np.var(values, axis=1)  # 1/n normalization, matching the plug-in covariances
+    ks = np.arange(r, n - r + 1)
+    csum = np.cumsum(values, axis=1)
+    left_mean = csum[:, ks - 1] / ks
+    right_mean = (csum[:, -1:] - csum[:, ks - 1]) / (n - ks)
+    sds = [math.sqrt(v) if v > 0.0 else DataError("degenerate sample: zero variance") for v in var.tolist()]
+    return studentize(split_max(left_mean, right_mean, ks, n), sds, ks, n, name)
+
+
+def run_baselines(samples, r: int = 10) -> list[list]:
+    """Per row of an (R, n) array, ``[mean, variance]``: each the TestResult
+    or the DataError that the test raises on that row alone."""
+    values, bad = finite_rows(samples)
+    cells = [_cells(values, r, name) for name in BASELINES]
+    return [[b or c for c in row] for b, row in zip(bad, zip(*cells))]
 
 
 def mean_cusum(sample, r: int = 10) -> TestResult:
     """CUSUM test for a change in expectation, studentized by the sample s.d."""
-    values = as_sample(sample)
-    cfg = TestConfig(family=Family.PWM_T, target="mu", r=r, recenter=False, variance_correction=1.0)
-    return _studentized(values, r, cfg)
+    return _raise_if_error(_cells(as_sample(sample)[None], r, "mean")[0])
 
 
 def variance_cusum(sample, r: int = 10) -> TestResult:
     """CUSUM test for a change in variance: the mean test applied to squared
     deviations from the full-sample mean."""
-    values = as_sample(sample)
-    cfg = TestConfig(family=Family.PWM_T, target="sigma", r=r, recenter=False, variance_correction=1.0)
-    sq = (values - values.mean()) ** 2
-    return _studentized(sq, r, cfg)
+    return _raise_if_error(_cells(as_sample(sample)[None], r, "variance")[0])

@@ -5,6 +5,7 @@ All reports embed the fully resolved configuration and a schema version.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -38,14 +39,24 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+@contextlib.contextmanager
+def _exit_codes():
+    """Exit 3 on infeasible moments, 2 on invalid data."""
+    try:
+        yield
+    except FeasibilityError as exc:
+        _fail(3, str(exc))
+    except DataError as exc:
+        _fail(2, str(exc))
+
+
 def _load_series(path, column):
     try:
-        return detie_mod.load_csv(path, column=column)
+        with _exit_codes():
+            return detie_mod.load_csv(path, column=column)
     except FileNotFoundError:
         _fail(2, f"no such file: {path}")
     except OSError as exc:
-        _fail(2, str(exc))
-    except DataError as exc:
         _fail(2, str(exc))
 
 
@@ -80,12 +91,8 @@ def cmd_test(file, column, family, target, r, no_recenter, alpha, seed, fmt):
     fam = Family(family)
     targets = list(TARGETS) if target == "all" else [target]
     configs = [TestConfig(family=fam, target=t, r=r, recenter=not no_recenter) for t in targets]
-    try:
+    with _exit_codes():
         results = run_suite(values, configs)
-    except FeasibilityError as exc:
-        _fail(3, str(exc))
-    except DataError as exc:
-        _fail(2, str(exc))
     per_test = [res.to_dict() for res in results]
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -139,7 +146,7 @@ def cmd_estimate(file, column, family, gamma):
     side by side, with their discrepancy.
     """
     values = _load_series(file, column)
-    try:
+    with _exit_codes():
         triples = {"beta_hat": beta_hat(values, PWM if family == "pwm" else GPWM, gamma)}
         if family == "pwm":
             if values.size >= 3:
@@ -170,10 +177,6 @@ def cmd_estimate(file, column, family, gamma):
                     "xi": approx.xi - exact.xi,
                 },
             }
-    except FeasibilityError as exc:
-        _fail(3, str(exc))
-    except DataError as exc:
-        _fail(2, str(exc))
     _echo(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -190,14 +193,10 @@ def cmd_detie(file, column, replicates, seed, family, r, fmt):
     if replicates < 1:
         _fail(2, "--replicates must be at least 1")
     values = _load_series(file, column)
-    try:
+    with _exit_codes():
         report = detie_mod.detie_report(
             values, replications=replicates, seed=seed, family=Family(family), r=r
         )
-    except FeasibilityError as exc:
-        _fail(3, str(exc))
-    except DataError as exc:
-        _fail(2, str(exc))
     if fmt == "csv":
         _echo(report.csv_text(), nl=False)
         return

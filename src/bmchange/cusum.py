@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import kolmogorov
 
-from .distributions import DataError, FeasibilityError, GevParams, as_rows, as_sample, kolmogorov_cdf
+from .distributions import DataError, FeasibilityError, GevParams, as_rows, as_sample
 from .gev_maps import PARAMS, approx_map_rows, map_outcome
 from .moments import (
     GPWM,
@@ -32,6 +33,7 @@ from .moments import (
 )
 
 # Unused here, but bench/spans.py wraps these names in this module.
+from .distributions import kolmogorov_cdf  # noqa: F401
 from .gev_maps import jacobian, map_triple  # noqa: F401
 from .moments import b_hat, beta_hat, in_dxi_rows  # noqa: F401
 
@@ -92,9 +94,15 @@ class TestConfig:
             return (n + 20.0) / n
         return 1.0
 
+    @property
+    def name(self) -> str:
+        return f"{self.family.value}:{self.target}"
+
 
 @dataclass(frozen=True)
 class TestResult:
+    """One test on one sample; ``config`` is None for the classical baselines."""
+
     __test__ = False  # not a test case despite the name
 
     statistic: float
@@ -104,23 +112,23 @@ class TestResult:
     left_params: GevParams | None
     right_params: GevParams | None
     skipped_k: tuple[int, ...]
-    config: TestConfig
+    config: TestConfig | None
     n: int
+    name: str
 
     def to_dict(self) -> dict:
+        if self.config is None:
+            head = {"test": self.name}
+        else:
+            head = {"family": self.config.family.value, "target": self.config.target}
         return {
-            "family": self.config.family.value,
-            "target": self.config.target,
+            **head,
             "statistic": self.statistic,
             "sigma_hat": self.sigma_hat,
             "p_value": self.p_value,
             "argmax_k": self.argmax_k,
-            "left_params": None
-            if self.left_params is None
-            else {"mu": self.left_params.mu, "sigma": self.left_params.sigma, "xi": self.left_params.xi},
-            "right_params": None
-            if self.right_params is None
-            else {"mu": self.right_params.mu, "sigma": self.right_params.sigma, "xi": self.right_params.xi},
+            "left_params": None if self.left_params is None else asdict(self.left_params),
+            "right_params": None if self.right_params is None else asdict(self.right_params),
             "skipped_k": list(self.skipped_k),
             "n": self.n,
         }
@@ -218,22 +226,22 @@ def _family_group(values: np.ndarray, config: TestConfig, do_recenter: bool) -> 
     return _Group(errors, ks, left, right, cov, triples, params, jac)
 
 
-class _Statistics(NamedTuple):
+class SplitMax(NamedTuple):
     value: np.ndarray       # (R,) maximum of the weighted differences
     index: np.ndarray       # (R,) position of the maximum in ks
     valid: np.ndarray       # (R, len(ks)) splits where both sides are feasible
 
 
-def _statistics(group: _Group, target: str, n: int) -> _Statistics:
-    col = TARGETS.index(target)
+def split_max(left: np.ndarray, right: np.ndarray, ks: np.ndarray, n: int) -> SplitMax:
+    """Per row, the max over splits k of k(n-k)/n^1.5 |left - right|; the side
+    estimates are (R, len(ks)), NaN at skipped splits.  Ties: smallest k wins."""
     with np.errstate(invalid="ignore"):
-        diff = np.abs(group.left[:, :, col] - group.right[:, :, col])
+        diff = np.abs(left - right)
     valid = np.isfinite(diff)
-    ks = group.ks
     weight = ks * (n - ks) / n**1.5
     vals = np.where(valid, weight * diff, -np.inf)
-    idx = np.argmax(vals, axis=1)  # ties: smallest k wins
-    return _Statistics(vals[np.arange(vals.shape[0]), idx], idx, valid)
+    idx = np.argmax(vals, axis=1)
+    return SplitMax(vals[np.arange(vals.shape[0]), idx], idx, valid)
 
 
 def _no_split(valid_row: np.ndarray) -> FeasibilityError | None:
@@ -270,7 +278,8 @@ def statistic(sample, config: TestConfig):
     values = as_sample(sample)
     group = _family_group(values[None], config, do_recenter=False)
     _raise_if_error(group.errors[0])
-    stats = _statistics(group, config.target, values.size)
+    col = TARGETS.index(config.target)
+    stats = split_max(group.left[:, :, col], group.right[:, :, col], group.ks, values.size)
     _raise_if_error(_no_split(stats.valid[0]))
     skipped = tuple(group.ks[~stats.valid[0]].tolist())
     return float(stats.value[0]), int(group.ks[stats.index[0]]), skipped
@@ -334,41 +343,60 @@ def _groups(configs: list[TestConfig]) -> list[list[int]]:
     return list(by_key.values())
 
 
-def _cells(group: _Group, config: TestConfig, n: int) -> list:
-    """One test over every row of a group: a TestResult or the row's error."""
-    if group.ks is None:
-        return list(group.errors)
-    stats = _statistics(group, config.target, n)
-    var = _variances(group, config, n)
-    ks = group.ks
+def studentize(stats: SplitMax, sds: list, ks: np.ndarray, n: int, name: str,
+               config: TestConfig | None = None, sides=None) -> list:
+    """Per row, a TestResult with p-value kolmogorov(statistic / sd), or the
+    row's error in ``sds``.  ``sides``: the (R, len(ks), 3) side estimates."""
+    p_values = kolmogorov(stats.value / np.array([sd if isinstance(sd, float) else 1.0 for sd in sds]))
     out = []
-    for row, error in enumerate(group.errors):
-        error = error or _no_split(stats.valid[row])
-        sd = error or _sd_or_error(group, row, var[row], config)
+    for row, sd in enumerate(sds):
         if isinstance(sd, Exception):
             out.append(sd)
             continue
-        stat, idx = float(stats.value[row]), int(stats.index[row])
+        idx = int(stats.index[row])
         left = right = None
-        try:
-            left = GevParams(*group.left[row, idx].tolist())
-            right = GevParams(*group.right[row, idx].tolist())
-        except ValueError:
-            pass  # side estimates are descriptive only
+        if sides is not None:
+            try:
+                left = GevParams(*sides[0][row, idx].tolist())
+                right = GevParams(*sides[1][row, idx].tolist())
+            except ValueError:
+                pass  # side estimates are descriptive only
         out.append(
             TestResult(
-                statistic=stat,
+                statistic=float(stats.value[row]),
                 sigma_hat=sd,
-                p_value=1.0 - kolmogorov_cdf(stat / sd),
+                p_value=float(p_values[row]),
                 argmax_k=int(ks[idx]),
                 left_params=left,
                 right_params=right,
                 skipped_k=tuple(ks[~stats.valid[row]].tolist()),
                 config=config,
                 n=n,
+                name=name,
             )
         )
     return out
+
+
+def _cells(group: _Group, config: TestConfig, n: int) -> list:
+    """One test over every row of a group: a TestResult or the row's error."""
+    if group.ks is None:
+        return list(group.errors)
+    col = TARGETS.index(config.target)
+    stats = split_max(group.left[:, :, col], group.right[:, :, col], group.ks, n)
+    var = _variances(group, config, n)
+    sds = [
+        error or _no_split(stats.valid[row]) or _sd_or_error(group, row, var[row], config)
+        for row, error in enumerate(group.errors)
+    ]
+    return studentize(stats, sds, group.ks, n, config.name, config, (group.left, group.right))
+
+
+def finite_rows(samples):
+    """An (R, n) batch with non-finite values set to 0, and per row its as_sample error or None."""
+    values = np.asarray(samples, dtype=float)
+    bad = [_error_of(as_sample, row) for row in values] if values.ndim == 2 else []
+    return as_rows(np.where(np.isfinite(values), values, 0.0)), bad
 
 
 def run_batch(samples, configs: list[TestConfig]) -> list[list]:
@@ -380,9 +408,7 @@ def run_batch(samples, configs: list[TestConfig]) -> list[list]:
     rows; a row that is not finite fails every test.  Every product is
     taken row by row, so a row's results do not depend on the other rows.
     """
-    values = np.asarray(samples, dtype=float)
-    bad = [_error_of(as_sample, row) for row in values] if values.ndim == 2 else []
-    values = as_rows(np.where(np.isfinite(values), values, 0.0))
+    values, bad = finite_rows(samples)
     n = values.shape[1]
     cells = [[None] * len(configs) for _ in values]
     for idxs in _groups(configs):

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import kolmogorov
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -207,22 +208,8 @@ def sample_block_maxima(n_blocks: int, block_size: int, base, rng: np.random.Gen
 
 
 def kolmogorov_cdf(x: float) -> float:
-    """C.d.f. of the supremum of a Brownian bridge (Kolmogorov distribution).
-
-    Alternating series 1 - 2*sum_{k>=1} (-1)^(k-1) exp(-2 k^2 x^2), summed
-    until the term drops below 1e-12.
-    """
-    if x <= 0.0:
-        return 0.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 1000):
-        term = math.exp(-2.0 * k * k * x * x)
-        if term < 1e-12:
-            break
-        total += sign * term
-        sign = -sign
-    return min(max(1.0 - 2.0 * total, 0.0), 1.0)
+    """C.d.f. of the supremum of a Brownian bridge (Kolmogorov distribution)."""
+    return float(1.0 - kolmogorov(x))
 
 
 def as_sample(values) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import mean_cusum, variance_cusum
+from .baselines import BASELINES, run_baselines
 from .cusum import Family, TestConfig, family_suite, run_batch
 from .distributions import (
     AbsStudentTDist,
@@ -38,6 +38,7 @@ from .distributions import (
 from . import reference_values
 
 # Unused here, but bench/spans.py wraps these names in this module.
+from .baselines import mean_cusum, variance_cusum  # noqa: F401
 from .cusum import run_suite, run_test  # noqa: F401
 
 # --- data-generating processes ----------------------------------------------
@@ -205,9 +206,9 @@ class Scenario:
         object.__setattr__(self, "tests", tuple(self.tests))
 
     def test_names(self) -> list[str]:
-        names = [f"{c.family.value}:{c.target}" for c in self.tests]
+        names = [c.name for c in self.tests]
         if self.include_baselines:
-            names += ["mean", "variance"]
+            names += BASELINES
         return names
 
     def to_dict(self) -> dict:
@@ -278,17 +279,10 @@ def _run_chunk(args):
     samples = np.stack(
         [scenario.generator.generate(scenario.n, replicate_rng(scenario, i)) for i in range(start, stop)]
     )
-    out = []
-    for sample, cells in zip(samples, run_batch(samples, list(scenario.tests))):
-        row = [_outcome(cell, scenario.level) for cell in cells]
-        if scenario.include_baselines:
-            for fn in (mean_cusum, variance_cusum):
-                try:
-                    row.append(_outcome(fn(sample), scenario.level))
-                except (FeasibilityError, DataError) as exc:
-                    row.append(_outcome(exc, scenario.level))
-        out.append(row)
-    return out
+    cells = run_batch(samples, list(scenario.tests))
+    if scenario.include_baselines:
+        cells = [row + extra for row, extra in zip(cells, run_baselines(samples))]
+    return [[_outcome(cell, scenario.level) for cell in row] for row in cells]
 
 
 @dataclass(frozen=True)

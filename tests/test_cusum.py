@@ -203,10 +203,27 @@ def test_result_to_dict(rng):
     x = sample_gev(60, GevParams(0, 1, 0.0), rng)
     res = run_test(x, TestConfig(family=Family.PWM_T, target="mu"))
     d = res.to_dict()
+    assert res.name == "pwm-t:mu"
     assert d["family"] == "pwm-t"
     assert d["target"] == "mu"
+    assert "test" not in d
     assert 0.0 <= d["p_value"] <= 1.0
     assert set(d["left_params"]) == {"mu", "sigma", "xi"}
+
+
+def test_tiny_p_values_not_rounded_to_zero(rng):
+    from scipy.special import kolmogorov
+
+    from bmchange.baselines import mean_cusum
+
+    x = sample_gev(2000, GevParams(0, 1, 0.1), rng)
+    x[1000:] += 3.0
+    step = np.r_[np.zeros(200), np.ones(200)]
+    results = run_suite(x, [TestConfig(family=Family.PWM_T, target="mu")]) + [mean_cusum(step)]
+    for res in results:
+        want = kolmogorov(res.statistic / res.sigma_hat)
+        assert res.p_value > 0.0
+        assert res.p_value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 _ENGINE = {

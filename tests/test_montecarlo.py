@@ -129,6 +129,7 @@ def test_simulate_jobs_identical_with_partial_chunk(tmp_path):
         "n": 40,
         "generator": {"kind": "null", "dist": {"family": "gev", "mu": 0, "sigma": 1, "xi": 0.1}},
         "tests": [{"family": "pwm-t", "target": "sigma"}, {"family": "pwm-s", "target": "xi"}],
+        "include_baselines": True,
         "replications": 70,
     }
     f = tmp_path / "scenario.json"
