@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .distributions import DataError, as_sample
-from .cusum import TestResult, _raise_if_error, finite_rows, split_max, studentize
+from .cusum import TestResult, _raise_if_error, finite_rows, split_max, studentize, unit_rows
 
 # Unused here, but bench/spans.py wraps this name in this module.
 from .distributions import kolmogorov_cdf  # noqa: F401
@@ -27,15 +27,17 @@ def _cells(values: np.ndarray, r: int, name: str) -> list:
     rows, n = values.shape
     if n < 2 * r:
         return [DataError(f"need n >= 2r = {2 * r} observations")] * rows
+    values, exponent = unit_rows(values)
     if name == "variance":
         values = (values - values.mean(axis=1, keepdims=True)) ** 2
+        exponent = 2 * exponent
     var = np.var(values, axis=1)  # 1/n normalization, matching the plug-in covariances
     ks = np.arange(r, n - r + 1)
     csum = np.cumsum(values, axis=1)
     left_mean = csum[:, ks - 1] / ks
     right_mean = (csum[:, -1:] - csum[:, ks - 1]) / (n - ks)
     sds = [math.sqrt(v) if v > 0.0 else DataError("degenerate sample: zero variance") for v in var.tolist()]
-    return studentize(split_max(left_mean, right_mean, ks, n), sds, ks, n, name)
+    return studentize(split_max(left_mean, right_mean, ks, n), sds, ks, n, name, exponent)
 
 
 def run_baselines(samples, r: int = 10) -> list[list]:

@@ -190,14 +190,40 @@ class _Group(NamedTuple):
     triples: np.ndarray     # (R, 3) full-sample moments
     params: np.ndarray      # (R, 3) their map, NaN off the map's domain
     jac: np.ndarray         # (R, 3, 3) Jacobian of the map at the triples
+    exponent: np.ndarray    # (R,) power of two that takes each row back to data units
+
+
+# Powers of the data scale in mu, sigma and xi: location and scale carry the
+# data's units, the shape is a pure number.
+_DATA_UNITS = np.array([1, 1, 0])
+
+
+def unit_rows(values: np.ndarray):
+    """Each row times 2^-e, where e is the frexp exponent of its largest
+    |value|, and the exponents e.  The scaling is exact, so the tests run on
+    numbers near 1 whatever the data's units; outputs in data units are the
+    scaled ones times 2^e."""
+    exponent = np.frexp(np.max(np.abs(values), axis=1))[1]
+    return np.ldexp(values, -exponent[:, None]), exponent
+
+
+def _too_few_distinct(values: np.ndarray) -> list:
+    """Per row, a DataError when it has fewer than 3 distinct values, which
+    cannot identify three GEV parameters, or None."""
+    s = np.sort(values, axis=1)
+    distinct = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
+    return [
+        None if d >= 3 else DataError("all values are tied" if d == 1 else "fewer than 3 distinct values")
+        for d in distinct.tolist()
+    ]
 
 
 def _family_group(values: np.ndarray, config: TestConfig, do_recenter: bool) -> _Group:
     rows, n = values.shape
     r, family, gamma = config.r, config.family, config.resolved_gamma()
     estimator, weights = _FAMILY_SETUP[family]
-    tied = np.all(values == values[:, :1], axis=1)
-    errors = [DataError("all values are tied") if t else None for t in tied]
+    errors = _too_few_distinct(values)
+    values, exponent = unit_rows(values)
     try:
         if n < 2 * r:
             raise DataError(f"need n >= 2r = {2 * r} observations")
@@ -221,9 +247,9 @@ def _family_group(values: np.ndarray, config: TestConfig, do_recenter: bool) -> 
         triples = _full_sample_rows(values, config)
         params, jac = approx_map_rows(weights.tag, triples, grad=True)
     except (DataError, FeasibilityError) as exc:  # the same on every row
-        return _Group([e or exc for e in errors], *[None] * 7)
+        return _Group([e or exc for e in errors], *[None] * 8)
     errors = [e or _error_of(MomentTriple, *t.tolist()) for e, t in zip(errors, triples)]
-    return _Group(errors, ks, left, right, cov, triples, params, jac)
+    return _Group(errors, ks, left, right, cov, triples, params, jac, exponent)
 
 
 class SplitMax(NamedTuple):
@@ -282,7 +308,8 @@ def statistic(sample, config: TestConfig):
     stats = split_max(group.left[:, :, col], group.right[:, :, col], group.ks, values.size)
     _raise_if_error(_no_split(stats.valid[0]))
     skipped = tuple(group.ks[~stats.valid[0]].tolist())
-    return float(stats.value[0]), int(group.ks[stats.index[0]]), skipped
+    value = float(np.ldexp(stats.value[0], group.exponent[0] * _DATA_UNITS[col]))
+    return value, int(group.ks[stats.index[0]]), skipped
 
 
 def pseudo_observations(sample, family: WeightFamily = PWM, gamma: float | None = None) -> np.ndarray:
@@ -327,7 +354,8 @@ def sigma_hat(sample, config: TestConfig) -> float:
     group = _family_group(values[None], config, do_recenter=False)
     _raise_if_error(group.errors[0])
     var = _variances(group, config, values.size)
-    return _raise_if_error(_sd_or_error(group, 0, var[0], config))
+    sd = _raise_if_error(_sd_or_error(group, 0, var[0], config))
+    return float(np.ldexp(sd, group.exponent[0] * _DATA_UNITS[TARGETS.index(config.target)]))
 
 
 def run_test(sample, config: TestConfig) -> TestResult:
@@ -343,11 +371,16 @@ def _groups(configs: list[TestConfig]) -> list[list[int]]:
     return list(by_key.values())
 
 
-def studentize(stats: SplitMax, sds: list, ks: np.ndarray, n: int, name: str,
+def studentize(stats: SplitMax, sds: list, ks: np.ndarray, n: int, name: str, exponent: np.ndarray,
                config: TestConfig | None = None, sides=None) -> list:
     """Per row, a TestResult with p-value kolmogorov(statistic / sd), or the
-    row's error in ``sds``.  ``sides``: the (R, len(ks), 3) side estimates."""
-    p_values = kolmogorov(stats.value / np.array([sd if isinstance(sd, float) else 1.0 for sd in sds]))
+    row's error in ``sds``.  Statistic and sd are reported times 2^exponent
+    (per row), in data units.  ``sides``: the (R, 3) left and right
+    estimates at the maximum, in data units."""
+    scale = np.array([sd if isinstance(sd, float) else 1.0 for sd in sds])
+    p_values = kolmogorov(stats.value / scale)
+    with np.errstate(over="ignore"):  # a squared-unit statistic of data near 1e300 is not finite
+        stat_units, sd_units = np.ldexp(stats.value, exponent), np.ldexp(scale, exponent)
     out = []
     for row, sd in enumerate(sds):
         if isinstance(sd, Exception):
@@ -357,14 +390,14 @@ def studentize(stats: SplitMax, sds: list, ks: np.ndarray, n: int, name: str,
         left = right = None
         if sides is not None:
             try:
-                left = GevParams(*sides[0][row, idx].tolist())
-                right = GevParams(*sides[1][row, idx].tolist())
+                left = GevParams(*sides[0][row].tolist())
+                right = GevParams(*sides[1][row].tolist())
             except ValueError:
                 pass  # side estimates are descriptive only
         out.append(
             TestResult(
-                statistic=float(stats.value[row]),
-                sigma_hat=sd,
+                statistic=float(stat_units[row]),
+                sigma_hat=float(sd_units[row]),
                 p_value=float(p_values[row]),
                 argmax_k=int(ks[idx]),
                 left_params=left,
@@ -389,7 +422,10 @@ def _cells(group: _Group, config: TestConfig, n: int) -> list:
         error or _no_split(stats.valid[row]) or _sd_or_error(group, row, var[row], config)
         for row, error in enumerate(group.errors)
     ]
-    return studentize(stats, sds, group.ks, n, config.name, config, (group.left, group.right))
+    at = (np.arange(len(sds)), stats.index)
+    exponent = group.exponent[:, None] * _DATA_UNITS
+    sides = [np.ldexp(side[at], exponent) for side in (group.left, group.right)]
+    return studentize(stats, sds, group.ks, n, config.name, exponent[:, col], config, sides)
 
 
 def finite_rows(samples):

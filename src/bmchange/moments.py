@@ -126,21 +126,67 @@ def full_sample_rows(values: np.ndarray, estimator: Estimator, family: WeightFam
 
     Ranks are assigned by stable sorted position, so the plotting-position
     estimator equals the sorted-sample form (1/n) sum_j X_(j) nu_i((j + gamma)/n).
+    It is the k = n step of the prefix engine: the same rank weights and
+    coefficients, so a sample's whole-sample moments equal its last prefix.
     """
     s = np.sort(values, axis=-1, kind="stable")
     n = s.shape[-1]
+    if estimator is Estimator.B_HAT and n < 3:
+        raise DataError("the unbiased estimator needs at least 3 observations")
+    origin = _log_origin(n)
+    sums = np.vecdot(s[..., None, :], _rank_weights(n, origin, estimator, family, gamma))
+    return _moments_from_sums(sums, n, origin, estimator, family)
+
+
+def _log_origin(k):
+    """The power of two at or below each subsample size k.  The log weights
+    are taken relative to it, so that log(k/origin) lies in [0, log 2) and
+    recentring the logs at k cancels no more than a few bits."""
+    return np.ldexp(1.0, np.frexp(k)[1] - 1)
+
+
+def _rank_weights(size: int, origin: float, estimator: Estimator, family: WeightFamily, gamma: float | None):
+    """(c, size) weights of the sorted ranks j = 1..size.
+
+    The raw sums S(w) = sum_j X_(j) w_j of a sorted subsample against these
+    rows give its moments through :func:`_moments_from_sums`; with a = j +
+    gamma and L = log(a/origin) the rows are 1, j-1, (j-1)(j-2) (unbiased),
+    1, a, a^2 (plotting positions) and a, aL, aL^2, a^2, a^2 L (log weights).
+    """
     if estimator is Estimator.B_HAT:
-        if n < 3:
-            raise DataError("the unbiased estimator needs at least 3 observations")
-        return _row_products(s, _b_weights(n)) / n
-    return _row_products(s, family.nu_matrix(position_numerators(n, family, gamma) / n)) / n
+        jm1 = np.arange(0.0, size)
+        return np.stack([np.ones(size), jm1, jm1 * (jm1 - 1.0)])
+    a = position_numerators(size, family, gamma)
+    if family.tag == "pwm":
+        return np.stack([np.ones(size), a, a * a])
+    log_a = np.log(a / origin)
+    a_log = a * log_a
+    return np.stack([a, a_log, a_log * log_a, a * a, a * a_log])
 
 
-def _row_products(s: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``s @ weights`` along the last axis of ``s``, one matrix-vector
-    product per row, so that a row's result does not depend on how many
-    rows are stacked with it (a matrix-matrix product does)."""
-    return (s[..., None, :] @ weights)[..., 0, :]
+def _moments_from_sums(sums: np.ndarray, k, origin, estimator: Estimator, family: WeightFamily, out=None) -> np.ndarray:
+    """Moment triples (..., 3) of sorted subsamples of sizes k from their raw
+    sums (..., c) against ``_rank_weights(., origin, ...)``, written to
+    ``out`` when given.
+
+    With l = log(k/origin), the positions u = a/k have log u = L - l, so
+    the log weights -u log u, u log^2 u, -u^2 log u expand into the rows of
+    the weight matrix with coefficients in l.
+    """
+    k = np.asarray(k, dtype=float)
+    s = np.moveaxis(sums, -1, 0)
+    if estimator is Estimator.B_HAT:
+        m = (s[0] / k, s[1] / (k * (k - 1.0)), s[2] / (k * (k - 1.0) * (k - 2.0)))
+    elif family.tag == "pwm":
+        m = (s[0] / k, s[1] / (k * k), s[2] / (k * k * k))
+    else:
+        l = np.log(k / origin)
+        m = (
+            -(s[1] - l * s[0]) / (k * k),
+            (s[2] - 2.0 * l * s[1] + l * l * s[0]) / (k * k),
+            -(s[4] - l * s[3]) / (k * k * k),
+        )
+    return np.stack(m, axis=-1, out=out)
 
 
 def beta_hat(sample, family: WeightFamily = PWM, gamma: float | None = None) -> MomentTriple:
@@ -149,16 +195,6 @@ def beta_hat(sample, family: WeightFamily = PWM, gamma: float | None = None) -> 
     gamma = family.default_gamma if gamma is None else gamma
     m = full_sample_rows(as_sample(sample), Estimator.BETA_HAT, family, gamma)
     return MomentTriple(*m, family=family, estimator=Estimator.BETA_HAT, gamma=gamma)
-
-
-def _b_weights(n: int) -> np.ndarray:
-    """(n, 3) weight matrix of the unbiased estimator for ranks 1..n."""
-    j = np.arange(1, n + 1, dtype=float)
-    w = np.empty((n, 3))
-    w[:, 0] = 1.0
-    w[:, 1] = (j - 1.0) / (n - 1.0)
-    w[:, 2] = (j - 1.0) * (j - 2.0) / ((n - 1.0) * (n - 2.0))
-    return w
 
 
 def b_hat(sample) -> MomentTriple:
@@ -286,59 +322,45 @@ def prefix_suffix_moments(
     """
     batch = np.ndim(sample) == 2
     values = as_rows(sample) if batch else as_sample(sample)[None]
-    n = values.shape[1]
+    rows, n = values.shape
     if n < 2:
         raise DataError("need at least 2 observations to split")
     if estimator is Estimator.B_HAT and family.tag != "pwm":
         raise DataError("the unbiased estimator is defined for the classical weights only")
-    prefix, prefix_valid = _running_prefix(values, estimator, family, gamma)
-    suf_rev, suf_rev_ok = _running_prefix(values[:, ::-1], estimator, family, gamma)
-    # suffix over X_{k+1}..X_n has length n-k = reversed-prefix length n-k
-    suffix = suf_rev[:, ::-1]
-    suffix_valid = suf_rev_ok[::-1]
+    # the suffix over X_{k+1}..X_n is the prefix of length n-k of the reversed row
+    moments, valid = _running_prefix(np.concatenate([values, values[:, ::-1]]), estimator, family, gamma)
+    prefix, suffix = moments[:rows], moments[rows:, ::-1]
     if batch:
-        return prefix, prefix_valid, suffix, suffix_valid
-    return prefix[0], prefix_valid, suffix[0], suffix_valid
+        return prefix, valid, suffix, valid[::-1]
+    return prefix[0], valid, suffix[0], valid[::-1]
 
 
-def _running_prefix(values: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float):
+def _running_prefix(values: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float | None):
     """Moments of X_1..X_k of every row for every k, via incremental sorted insertion.
 
-    ``values`` is (R, n).  Each step inserts every row's new value into that
-    row's sorted buffer, then takes the moments of all rows as one product
-    with a (k, 3) weight matrix that the rows share.
+    ``values`` is (R, n).  Each step merges every row's new value into that
+    row's sorted buffer and takes the raw sums of all rows against fixed
+    rank weights, one dot product per row and weight row; the per-k
+    coefficients are applied once after the loop.  The log weights have one
+    origin per octave of k (see :func:`_log_origin`).
     """
     rows, n = values.shape
-    out = np.full((rows, n + 1, 3), np.nan)
-    ok = np.zeros(n + 1, dtype=bool)
-    buf, spare = np.empty((rows, n)), np.empty((rows, n))
     min_size = 3 if estimator is Estimator.B_HAT else 1
-    j_gamma = position_numerators(n, family, gamma)
-    jm1 = np.arange(0.0, n)            # j - 1 for j = 1..n
-    # rows 1, j-1, (j-1)(j-2); one dot product per row and column
-    b_weights = np.stack([np.ones(n), jm1, jm1 * (jm1 - 1.0)])
+    origins = [1 << b for b in range(n.bit_length())]
+    weights = [_rank_weights(min(2 * o - 1, n), o, estimator, family, gamma) for o in origins]
+    sums = np.empty((rows, n + 1, weights[0].shape[0]))
+    buf, spare = np.empty((rows, n)), np.empty((rows, n))
     for k in range(1, n + 1):
         x = values[:, k - 1]
         prev = buf[:, : k - 1]
-        if rows == 1:
-            idx = np.searchsorted(prev[0], x[0], side="right")
-            buf[0, idx + 1 : k] = prev[0, idx:]
-            buf[0, idx] = x[0]
-        else:
-            # branchless merge: new[j] = min(old[j], max(x, old[j-1]))
-            nxt = spare[:, :k]
-            np.maximum(prev, x[:, None], out=nxt[:, 1:])
-            nxt[:, 0] = x
-            np.minimum(nxt[:, : k - 1], prev, out=nxt[:, : k - 1])
-            buf, spare = spare, buf
-        if k < min_size:
-            continue
-        s = buf[:, :k]
-        if estimator is Estimator.B_HAT:
-            out[:, k] = np.vecdot(s[:, None, :], b_weights[:, :k]) / np.array(
-                [k, k * (k - 1.0), k * (k - 1.0) * (k - 2.0)]
-            )
-        else:
-            out[:, k] = _row_products(s, family.nu_matrix(j_gamma[:k] / k)) / k
-        ok[k] = True
-    return out, ok
+        # branchless merge: new[j] = min(old[j], max(x, old[j-1]))
+        nxt = spare[:, :k]
+        np.maximum(prev, x[:, None], out=nxt[:, 1:])
+        nxt[:, 0] = x
+        np.minimum(nxt[:, : k - 1], prev, out=nxt[:, : k - 1])
+        buf, spare = spare, buf
+        sums[:, k] = np.vecdot(buf[:, None, :k], weights[k.bit_length() - 1][:, :k])
+    out = np.full((rows, n + 1, 3), np.nan)
+    ks = np.arange(min_size, n + 1)
+    _moments_from_sums(sums[:, min_size:], ks, _log_origin(ks), estimator, family, out[:, min_size:])
+    return out, np.arange(n + 1) >= min_size

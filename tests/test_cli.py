@@ -65,6 +65,37 @@ def test_cmd_test_all_tied_exit_2(runner, tmp_path, family):
     assert errors == ["error: all values are tied"]
 
 
+@pytest.mark.parametrize("family", ["pwm-t", "pwm-s", "gpwm"])
+@pytest.mark.parametrize(
+    "series", ["1\n" * 30 + "2\n" * 30, "1\n" * 59 + "2\n"], ids=["two-levels", "one-outlier"]
+)
+def test_cmd_test_too_few_distinct_exit_2(runner, tmp_path, family, series):
+    f = tmp_path / "two.csv"
+    f.write_text(series)
+    res = runner.invoke(main, ["test", str(f), "--family", family])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == ["error: fewer than 3 distinct values"]
+
+
+@pytest.mark.parametrize("family", ["pwm-t", "pwm-s", "gpwm"])
+def test_cmd_test_tiny_scale(runner, tmp_path, gev_file, family):
+    # 1e-200 = m 2^e: the tiny copy must give the p-values of the copy scaled
+    # by m, and its statistics in its own units
+    mantissa, exponent = np.frexp(1e-200)
+    reports = []
+    for name, factor in (("near_one", mantissa), ("tiny", 1e-200)):
+        f = tmp_path / f"{name}.csv"
+        f.write_text("\n".join(f"{v:.17g}" for v in np.loadtxt(gev_file) * factor) + "\n")
+        res = runner.invoke(main, ["test", str(f), "--family", family])
+        assert res.exit_code == 0, res.output
+        reports.append(json.loads(res.stdout)["tests"])
+    for a, b in zip(*reports):
+        assert (b["p_value"], b["argmax_k"]) == (a["p_value"], a["argmax_k"])
+        units = 0 if a["target"] == "xi" else int(exponent)
+        assert b["statistic"] == np.ldexp(a["statistic"], units)
+
+
 def test_cmd_test_missing_file(runner):
     res = runner.invoke(main, ["test", "/nonexistent/series.csv"])
     assert res.exit_code == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmchange.baselines import run_baselines
 from bmchange.cusum import (
     Family,
     TestConfig,
@@ -182,7 +183,8 @@ def test_sample_too_short():
 
 
 def test_no_feasible_split():
-    x = np.concatenate([[-1e6], np.ones(29)])
+    # three distinct values: two would be rejected before any split is tried
+    x = np.concatenate([[-1e6, 0.5], np.ones(28)])
     with pytest.raises(FeasibilityError, match="no feasible split"):
         statistic(x, TestConfig(family=Family.GPWM_S, target="xi", recenter=False))
 
@@ -303,3 +305,28 @@ def test_run_batch_matches_each_row_alone(tied_rows, shuffle):
                 run_suite(sample, _BATCH_CONFIGS)
         else:
             assert run_suite(sample, _BATCH_CONFIGS) == row_cells
+
+
+_EVERY_TEST = [cfg for family in Family for cfg in family_suite(family)]
+
+
+def _p_values(x):
+    """p-value of every moment test and both baselines on x, or the failure."""
+    cells = run_batch(x[None], _EVERY_TEST)[0] + run_baselines(x[None])[0]
+    return [cell.p_value if isinstance(cell, TestResult) else repr(cell) for cell in cells]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 120),
+    power=st.integers(-60, 60),
+    factor=st.sampled_from([1e300, 1e-300, 1e-200]),
+)
+@settings(max_examples=15, deadline=None)
+def test_p_values_scale_free(seed, n, power, factor):
+    x = sample_gev(n, GevParams(0, 1, 0.1), np.random.default_rng(seed))
+    # a power of two scales exactly, so every p-value keeps its bits
+    assert _p_values(np.ldexp(x, power)) == _p_values(x)
+    # any other factor rounds the data once; 1e300 must cost no more than
+    # its mantissa, a factor near 1, does
+    assert _p_values(x * factor) == _p_values(x * np.frexp(factor)[0])

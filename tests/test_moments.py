@@ -14,6 +14,7 @@ from bmchange.moments import (
     beta_hat,
     ecdf,
     exact_pwm_gev,
+    full_sample_rows,
     in_dh,
     in_dh_rows,
     in_dxi,
@@ -125,6 +126,19 @@ def test_row_predicates_match_scalar(rng):
     np.testing.assert_array_equal(in_dh_rows(gpwm_rows), [in_dh(r) for r in gpwm_rows])
 
 
+def _direct_moments(values, estimator, family, gamma):
+    """The estimator's definition on one subsample, (1/k) sum_j X_(j) w_j(k),
+    with the weight functions evaluated at each rank directly."""
+    s = np.sort(values)
+    k = s.size
+    j = np.arange(1.0, k + 1)
+    if estimator is Estimator.B_HAT:
+        w = np.stack([np.ones(k), (j - 1) / (k - 1), (j - 1) * (j - 2) / ((k - 1) * (k - 2))], axis=1)
+    else:
+        w = family.nu_matrix((j + gamma) / k)
+    return s @ w / k
+
+
 def _naive_engine(values, estimator, family, gamma):
     n = values.size
     pre = np.full((n + 1, 3), np.nan)
@@ -132,22 +146,20 @@ def _naive_engine(values, estimator, family, gamma):
     min_size = 3 if estimator is Estimator.B_HAT else 1
     for k in range(n + 1):
         if k >= min_size:
-            t = b_hat(values[:k]) if estimator is Estimator.B_HAT else beta_hat(values[:k], family, gamma)
-            pre[k] = [t.m1, t.m2, t.m3]
+            pre[k] = _direct_moments(values[:k], estimator, family, gamma)
         if n - k >= min_size:
-            t = b_hat(values[k:]) if estimator is Estimator.B_HAT else beta_hat(values[k:], family, gamma)
-            suf[k] = [t.m1, t.m2, t.m3]
+            suf[k] = _direct_moments(values[k:], estimator, family, gamma)
     return pre, suf
 
 
-@pytest.mark.parametrize(
-    "estimator,family,gamma",
-    [
-        (Estimator.B_HAT, PWM, -0.35),
-        (Estimator.BETA_HAT, PWM, -0.35),
-        (Estimator.BETA_HAT, GPWM, 0.0),
-    ],
-)
+ENGINES = [
+    (Estimator.B_HAT, PWM, -0.35),
+    (Estimator.BETA_HAT, PWM, -0.35),
+    (Estimator.BETA_HAT, GPWM, 0.0),
+]
+
+
+@pytest.mark.parametrize("estimator,family,gamma", ENGINES)
 def test_prefix_suffix_against_naive(rng, estimator, family, gamma):
     values = rng.gumbel(size=60)
     pre, pre_ok, suf, suf_ok = prefix_suffix_moments(values, estimator, family, gamma)
@@ -194,11 +206,7 @@ tied_batches = st.integers(6, 30).flatmap(
 @settings(max_examples=40, deadline=None)
 def test_prefix_suffix_rows_against_naive(batch):
     rows, n = batch.shape
-    for estimator, family, gamma in (
-        (Estimator.B_HAT, PWM, -0.35),
-        (Estimator.BETA_HAT, PWM, -0.35),
-        (Estimator.BETA_HAT, GPWM, 0.0),
-    ):
+    for estimator, family, gamma in ENGINES:
         pre, pre_ok, suf, suf_ok = prefix_suffix_moments(batch, estimator, family, gamma)
         assert pre.shape == suf.shape == (rows, n + 1, 3)
         min_size = 3 if estimator is Estimator.B_HAT else 1
@@ -208,3 +216,27 @@ def test_prefix_suffix_rows_against_naive(batch):
             naive_pre, naive_suf = _naive_engine(batch[row], estimator, family, gamma)
             np.testing.assert_allclose(pre[row][pre_ok], naive_pre[pre_ok], atol=1e-12, rtol=1e-12)
             np.testing.assert_allclose(suf[row][suf_ok], naive_suf[suf_ok], atol=1e-12, rtol=1e-12)
+
+
+@pytest.mark.parametrize("estimator,family,gamma", ENGINES)
+def test_prefix_suffix_large_n_against_naive(estimator, family, gamma):
+    # Far from 0 and long, the log columns' recentring at each k cancels
+    # the most; the rounded copy brings ties.
+    n = 5000
+    x = gev_quantile(np.random.default_rng(7).random(n), GevParams(0, 1, 0.1)) + 1e3
+    batch = np.stack([x, np.round(x, 1)])
+    pre, pre_ok, suf, suf_ok = prefix_suffix_moments(batch, estimator, family, gamma)
+    ks = sorted({1, 2, 3, n - 1, *np.geomspace(4, n - 2, 16).astype(int).tolist()})
+    for row, values in enumerate(batch):
+        for k in ks:
+            if pre_ok[k]:
+                want = _direct_moments(values[:k], estimator, family, gamma)
+                np.testing.assert_allclose(pre[row, k], want, atol=1e-12, rtol=1e-12)
+            if suf_ok[k]:
+                want = _direct_moments(values[k:], estimator, family, gamma)
+                np.testing.assert_allclose(suf[row, k], want, atol=1e-12, rtol=1e-12)
+        alone = prefix_suffix_moments(values, estimator, family, gamma)
+        np.testing.assert_array_equal(alone[0], pre[row])
+        np.testing.assert_array_equal(alone[2], suf[row])
+    # the whole-sample estimator is the engine's last prefix
+    np.testing.assert_array_equal(full_sample_rows(batch, estimator, family, gamma), pre[:, n])
