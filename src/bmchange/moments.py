@@ -29,6 +29,11 @@ SHAPE_BRACKET_LO = -5.0
 PWM_SHAPE_HI = 1.0 - 1e-6
 GPWM_SHAPE_HI = 2.0 - 1e-6
 
+# Sample size from which the prefix engine runs the O(n log n) merge tree
+# for the polynomial rank weights instead of the O(n^2) sorted-insertion
+# loop: the measured crossover of the two (BENCH_10.json).
+TREE_MIN_N = 512
+
 
 class Estimator(enum.Enum):
     BETA_HAT = "beta_hat"  # plotting-position estimator
@@ -126,16 +131,21 @@ def full_sample_rows(values: np.ndarray, estimator: Estimator, family: WeightFam
 
     Ranks are assigned by stable sorted position, so the plotting-position
     estimator equals the sorted-sample form (1/n) sum_j X_(j) nu_i((j + gamma)/n).
-    It is the k = n step of the prefix engine: the same rank weights and
-    coefficients, so a sample's whole-sample moments equal its last prefix.
+    It is the k = n step of the prefix engine that serves n: the same rank
+    weights, the same raw sums and the same coefficients, so a sample's
+    whole-sample moments equal its last prefix bit for bit.
     """
     s = np.sort(values, axis=-1, kind="stable")
     n = s.shape[-1]
     if estimator is Estimator.B_HAT and n < 3:
         raise DataError("the unbiased estimator needs at least 3 observations")
     origin = _log_origin(n)
-    sums = np.vecdot(s[..., None, :], _rank_weights(n, origin, estimator, family, gamma))
-    return _moments_from_sums(sums, n, origin, estimator, family)
+    rows = s.reshape(-1, n)
+    if _uses_tree(n, family):
+        sums = _fold_sums(rows, estimator, family, gamma)
+    else:
+        sums = np.vecdot(rows[:, None, :], _rank_weights(n, origin, estimator, family, gamma))
+    return _moments_from_sums(sums, n, origin, estimator, family).reshape(*s.shape[:-1], 3)
 
 
 def _log_origin(k):
@@ -164,29 +174,48 @@ def _rank_weights(size: int, origin: float, estimator: Estimator, family: Weight
     return np.stack([a, a_log, a_log * log_a, a * a, a * a_log])
 
 
-def _moments_from_sums(sums: np.ndarray, k, origin, estimator: Estimator, family: WeightFamily, out=None) -> np.ndarray:
+def _moments_from_sums(sums: np.ndarray, k, origin, estimator: Estimator, family: WeightFamily) -> np.ndarray:
     """Moment triples (..., 3) of sorted subsamples of sizes k from their raw
-    sums (..., c) against ``_rank_weights(., origin, ...)``, written to
-    ``out`` when given.
+    sums (..., c) against ``_rank_weights(., origin, ...)``.
 
-    With l = log(k/origin), the positions u = a/k have log u = L - l, so
-    the log weights -u log u, u log^2 u, -u^2 log u expand into the rows of
-    the weight matrix with coefficients in l.
+    The moments overwrite the first three sums, so that no second array of
+    the engine's size is alive; the result is a view of ``sums``.  With
+    l = log(k/origin), the positions u = a/k have log u = L - l, so the log
+    weights -u log u, u log^2 u, -u^2 log u expand into the rows of the
+    weight matrix with coefficients in l.
     """
     k = np.asarray(k, dtype=float)
     s = np.moveaxis(sums, -1, 0)
     if estimator is Estimator.B_HAT:
-        m = (s[0] / k, s[1] / (k * (k - 1.0)), s[2] / (k * (k - 1.0) * (k - 2.0)))
+        s[0] /= k
+        s[1] /= k * (k - 1.0)
+        s[2] /= k * (k - 1.0) * (k - 2.0)
     elif family.tag == "pwm":
-        m = (s[0] / k, s[1] / (k * k), s[2] / (k * k * k))
+        s[0] /= k
+        s[1] /= k * k
+        s[2] /= k * k * k
     else:
         l = np.log(k / origin)
-        m = (
-            -(s[1] - l * s[0]) / (k * k),
-            (s[2] - 2.0 * l * s[1] + l * l * s[0]) / (k * k),
-            -(s[4] - l * s[3]) / (k * k * k),
-        )
-    return np.stack(m, axis=-1, out=out)
+        kk = k * k
+        # m2 = (S(aL^2) - 2l S(aL) + l^2 S(a))/k^2 goes to slot 2 first, while
+        # slots 0 and 1 still hold S(a) and S(aL)
+        tmp = np.multiply(2.0 * l, s[1])
+        s[2] -= tmp
+        np.multiply(l * l, s[0], out=tmp)
+        s[2] += tmp
+        s[2] /= kk
+        # m1 = -(S(aL) - l S(a))/k^2
+        np.multiply(l, s[0], out=tmp)
+        s[1] -= tmp
+        np.negative(s[1], out=s[1])
+        np.divide(s[1], kk, out=s[0])
+        s[1] = s[2]
+        # m3 = -(S(a^2 L) - l S(a^2))/k^3
+        np.multiply(l, s[3], out=tmp)
+        s[4] -= tmp
+        np.negative(s[4], out=s[4])
+        np.divide(s[4], k * k * k, out=s[2])
+    return sums[..., :3]
 
 
 def beta_hat(sample, family: WeightFamily = PWM, gamma: float | None = None) -> MomentTriple:
@@ -336,16 +365,40 @@ def prefix_suffix_moments(
 
 
 def _running_prefix(values: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float | None):
-    """Moments of X_1..X_k of every row for every k, via incremental sorted insertion.
+    """Moments of X_1..X_k of every row of the (R, n) ``values`` for every k.
 
-    ``values`` is (R, n).  Each step merges every row's new value into that
-    row's sorted buffer and takes the raw sums of all rows against fixed
-    rank weights, one dot product per row and weight row; the per-k
-    coefficients are applied once after the loop.  The log weights have one
-    origin per octave of k (see :func:`_log_origin`).
+    The raw sums come from the merge tree when :func:`_uses_tree` says so
+    and from the sorted-insertion loop otherwise; the per-k coefficients
+    are then applied once, in place.
+    """
+    n = values.shape[1]
+    min_size = 3 if estimator is Estimator.B_HAT else 1
+    engine = _tree_sums if _uses_tree(n, family) else _loop_sums
+    sums = engine(values, estimator, family, gamma)
+    sums[:, :min_size] = np.nan
+    ks = np.arange(min_size, n + 1)
+    _moments_from_sums(sums[:, min_size:], ks, _log_origin(ks), estimator, family)
+    return sums[..., :3], np.arange(n + 1) >= min_size
+
+
+def _uses_tree(n: int, family: WeightFamily) -> bool:
+    """Whether samples of size n run the merge tree.  Only the polynomial
+    rank weights (b_hat and the pwm plotting positions) have a shift rule;
+    the log weights always run the loop.  The choice depends on n alone,
+    never on the number of rows, so a row's result does not depend on its
+    batch."""
+    return family.tag == "pwm" and n >= TREE_MIN_N
+
+
+def _loop_sums(values: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float | None):
+    """Raw sums (R, n + 1, c) of X_1..X_k (row 0 unset) by incremental sorted insertion.
+
+    Each step merges every row's new value into that row's sorted buffer
+    and takes the raw sums of all rows against fixed rank weights, one dot
+    product per row and weight row.  The log weights have one origin per
+    octave of k (see :func:`_log_origin`).  O(n^2) per row.
     """
     rows, n = values.shape
-    min_size = 3 if estimator is Estimator.B_HAT else 1
     origins = [1 << b for b in range(n.bit_length())]
     weights = [_rank_weights(min(2 * o - 1, n), o, estimator, family, gamma) for o in origins]
     sums = np.empty((rows, n + 1, weights[0].shape[0]))
@@ -360,7 +413,175 @@ def _running_prefix(values: np.ndarray, estimator: Estimator, family: WeightFami
         np.minimum(nxt[:, : k - 1], prev, out=nxt[:, : k - 1])
         buf, spare = spare, buf
         sums[:, k] = np.vecdot(buf[:, None, :k], weights[k.bit_length() - 1][:, :k])
-    out = np.full((rows, n + 1, 3), np.nan)
-    ks = np.arange(min_size, n + 1)
-    _moments_from_sums(sums[:, min_size:], ks, _log_origin(ks), estimator, family, out[:, min_size:])
-    return out, np.arange(n + 1) >= min_size
+    return sums
+
+
+def _shift_table(depth: int, estimator: Estimator, family: WeightFamily, gamma: float | None):
+    """Leaf weights (p1(1), p2(1)) and q(c) for c = 0..2^(depth - 1), read
+    off the polynomial rank weights 1, p1(j), p2(j).  Both p1 families step
+    by 1 in j, so p2(j + c) = p2(j) + 2c p1(j) + q(c) with q(c) = p2(1 + c)
+    - p2(1) - 2c p1(1): c^2 for the plotting positions, c(c - 1) for b_hat.
+    q is an integer, so rounding drops the error of the differences."""
+    size = (1 << depth >> 1) + 1
+    w = _rank_weights(size, 1.0, estimator, family, gamma)
+    q = np.rint(w[2] - w[2, 0] - 2.0 * np.arange(size) * w[1, 0])
+    return w[1, 0], w[2, 0], q
+
+
+def _leaves(s: np.ndarray, p1: float, p2: float) -> list:
+    """Raw sums of one-member nodes holding the values ``s``, each array
+    followed by the zero sums of an empty node."""
+    return [np.append(s, 0.0), np.append(s * p1, 0.0), np.append(s * p2, 0.0)]
+
+
+def _merge(state: list, left: np.ndarray, right: np.ndarray, c: np.ndarray, q: np.ndarray) -> list:
+    """One level up the merge tree.
+
+    ``state`` holds a level's raw sums S0, S1, S2 as flat arrays in the
+    form of :func:`_leaves`.  For each parent position, ``left`` and
+    ``right`` index the sums of the members arrived in its left and right
+    child (the empty node when none has), and c counts the left ones.  The
+    right members' local ranks j rise by c, which adds c S0 to S1 and
+    2c S1 + q(c) S0 to S2.  The parent sums come back in the same form.
+    They are made S2 first, and each child array leaves ``state`` once
+    used, so that little more than one level is alive at a time.
+    """
+    parent = [None, None, None]
+    tmp = np.empty(c.shape)
+
+    def take(i, idx, out):
+        return np.take(state[i], idx, out=out, mode="clip")
+
+    def make(i):
+        parent[i] = np.empty(c.size + 1)
+        parent[i][-1] = 0.0
+        return parent[i][:-1].reshape(c.shape)
+
+    s2 = make(2)
+    np.take(q, c, out=s2, mode="clip")
+    s2 *= take(0, right, tmp)
+    take(1, right, tmp)
+    tmp *= c
+    tmp *= 2.0
+    s2 += tmp
+    s2 += take(2, right, tmp)
+    s2 += take(2, left, tmp)
+    state[2] = None
+    s1 = make(1)
+    take(0, right, s1)
+    s1 *= c
+    s1 += take(1, right, tmp)
+    s1 += take(1, left, tmp)
+    state[1] = None
+    s0 = make(0)
+    take(0, right, s0)
+    s0 += take(0, left, tmp)
+    return parent
+
+
+def _block_ones(bit: np.ndarray, level: int) -> np.ndarray:
+    """Inclusive count of set bits within each block of 2^(level + 1) columns."""
+    rows, size = bit.shape
+    return np.cumsum(bit.reshape(rows, -1, 2 << level), axis=2, dtype=np.int32).reshape(rows, size)
+
+
+def _child_positions(level: int, ones: np.ndarray):
+    """For each position of a level-(level + 1) list, whose block has
+    ``ones`` right members up to and including it: the positions in the
+    children's list of the last left and of the last right member up to
+    it.  Left members keep their order from the block's start, right ones
+    from 2^level on."""
+    pos = np.arange(ones.shape[-1])
+    return pos - ones, (pos & -(2 << level)) + ((1 << level) - 1) + ones
+
+
+def _tree_sums(values: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float | None):
+    """Raw sums (R, n + 1, 3) of X_1..X_k (row 0 unset) against the
+    polynomial rank weights 1, p1(j), p2(j), by a merge tree over value
+    ranks: O(n log n) per row.
+
+    A stable argsort gives every value a rank.  A node at level l covers
+    the 2^l consecutive ranks [m 2^l, (m + 1) 2^l); for each of its members
+    in order of arrival it holds the raw sums of the members arrived so
+    far, taken at their ranks within the node.  A parent lists the members
+    of its two children in arrival order; with cL left and cR right members
+    arrived, its sums are L(cL) + R(cR) shifted up by cL ranks
+    (:func:`_merge`).  The root, at level depth with 2^depth >= n, holds
+    every prefix.
+
+    n is padded to 2^depth with dummies that rank above every value and
+    arrive after X_n.  At every level they fill the positions from n on,
+    and no sums below position n depend on them, so they are never stored:
+    only the bit arrays are padded, with zeros, to whole blocks.  Each
+    level lists its members as the stable partition of its parent's list
+    by bit l of the rank; that bit, one per position and level and packed
+    eight to a byte, is kept from the way down, and the counts are
+    recomputed on the way up.  Arrays are dropped as soon as they are
+    used, which keeps the peak memory near two levels of sums.  Every
+    operation is elementwise or a gather within one row, so a row's result
+    does not depend on its batch.
+    """
+    rows, n = values.shape
+    depth = (n - 1).bit_length()
+    size = 1 << depth
+    order = np.argsort(values, axis=1, kind="stable")
+    # the rank of the value at each position of the root's list: time order
+    rank = np.empty((rows, n), np.int32)
+    np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None], axis=1)
+    offset = (np.arange(rows) * n)[:, None]
+    bits = []
+    for level in range(depth - 1, -1, -1):
+        bit = np.zeros((rows, size), np.uint8)
+        np.bitwise_and(rank >> level, 1, out=bit[:, :n], casting="unsafe")
+        bits.append(np.packbits(bit, axis=1))
+        if level:
+            left, right = _child_positions(level, _block_ones(bit, level)[:, :n])
+            dest = np.where(bit[:, :n], right, left)
+            del left, right
+            dest += offset
+            moved = np.empty_like(rank)
+            moved.reshape(-1)[dest] = rank
+            rank = moved
+            del dest, moved
+        del bit
+    p1, p2, q = _shift_table(depth, estimator, family, gamma)
+    # level 0 lists the values by rank
+    state = _leaves(np.take_along_axis(values, order, axis=1).reshape(-1), p1, p2)
+    del order, rank
+    pos = np.arange(n)
+    empty = rows * n
+    for level in range(depth):
+        ones = _block_ones(np.unpackbits(bits.pop(), axis=1, count=size), level)[:, :n]
+        left, right = _child_positions(level, ones)
+        left_ones = left - ((pos & -(2 << level)) - 1)
+        left += offset
+        left[left_ones == 0] = empty
+        right += offset
+        right[ones == 0] = empty
+        del ones
+        state = _merge(state, left, right, left_ones, q)
+        del left, right, left_ones
+    sums = np.empty((rows, n + 1, 3))
+    for i, s in enumerate(state):
+        sums[:, 1:, i] = s[:-1].reshape(rows, n)
+    return sums
+
+
+def _fold_sums(s: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float | None):
+    """Raw sums (R, 3) of the value-sorted rows ``s`` against the
+    polynomial rank weights: the tree with every member arrived, one
+    vectorised :func:`_merge` per level, so that they equal the tree's last
+    prefix bit for bit."""
+    rows, n = s.shape
+    depth = (n - 1).bit_length()
+    p1, p2, q = _shift_table(depth, estimator, family, gamma)
+    state = _leaves(s.reshape(-1), p1, p2)
+    width = n
+    for level in range(depth):
+        # parent m of each row has the children 2m and 2m + 1, when there is one
+        pair = 2 * np.arange((width + 1) // 2)
+        left = np.arange(rows)[:, None] * width + pair
+        right = np.where(pair + 1 < width, left + 1, rows * width)
+        state = _merge(state, left, right, np.full(left.shape, 1 << level), q)
+        width = pair.size
+    return np.stack([s[:-1] for s in state], axis=1)

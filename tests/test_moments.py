@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bmchange import moments
 from bmchange.distributions import DataError, GevParams, gev_quantile
 from bmchange.moments import (
     GPWM,
@@ -178,13 +179,15 @@ def test_prefix_suffix_against_naive(rng, estimator, family, gamma):
             assert not suf_ok[k]
 
 
-def test_prefix_suffix_reversal_symmetry(rng):
-    values = rng.normal(size=30)
-    pre, _, _, _ = prefix_suffix_moments(values, Estimator.B_HAT, PWM, -0.35)
-    _, _, suf_r, _ = prefix_suffix_moments(values[::-1], Estimator.B_HAT, PWM, -0.35)
-    # prefix of length k equals the suffix of the reversed sample past n-k
-    for k in range(3, 31):
-        np.testing.assert_allclose(pre[k], suf_r[30 - k], atol=1e-12)
+@pytest.mark.parametrize("n", [30, moments.TREE_MIN_N + 1])
+@pytest.mark.parametrize("estimator,family,gamma", ENGINES)
+def test_prefix_suffix_reversal_symmetry(rng, estimator, family, gamma, n):
+    values = rng.normal(size=n)
+    pre, ok, _, _ = prefix_suffix_moments(values, estimator, family, gamma)
+    _, _, suf_r, _ = prefix_suffix_moments(values[::-1], estimator, family, gamma)
+    # prefix of length k is the suffix of the reversed sample past n-k: the
+    # same row of the same stacked pass, so bit for bit
+    np.testing.assert_array_equal(pre[ok], suf_r[::-1][ok])
 
 
 def test_prefix_suffix_rejects_bhat_gpwm():
@@ -240,3 +243,46 @@ def test_prefix_suffix_large_n_against_naive(estimator, family, gamma):
         np.testing.assert_array_equal(alone[2], suf[row])
     # the whole-sample estimator is the engine's last prefix
     np.testing.assert_array_equal(full_sample_rows(batch, estimator, family, gamma), pre[:, n])
+
+
+def _tree_prefix(values, estimator, family, gamma):
+    """Prefix moments k = min_size..n of every row from the merge tree,
+    whatever n."""
+    min_size = 3 if estimator is Estimator.B_HAT else 1
+    sums = moments._tree_sums(values, estimator, family, gamma)
+    ks = np.arange(min_size, values.shape[1] + 1)
+    return moments._moments_from_sums(sums[:, min_size:], ks, moments._log_origin(ks), estimator, family)
+
+
+def _check_tree(batch):
+    """The tree's prefixes of each row and its reversal against the naive
+    engine, and each row alone bit for bit equal to its batch row."""
+    rows, n = batch.shape
+    for estimator, family, gamma in ENGINES[:2]:  # the polynomial weights
+        min_size = 3 if estimator is Estimator.B_HAT else 1
+        got = _tree_prefix(np.concatenate([batch, batch[:, ::-1]]), estimator, family, gamma)
+        for row, values in enumerate(batch):
+            naive_pre, naive_suf = _naive_engine(values, estimator, family, gamma)
+            np.testing.assert_allclose(got[row], naive_pre[min_size:], atol=1e-12, rtol=1e-12)
+            np.testing.assert_allclose(got[rows + row, ::-1], naive_suf[: n + 1 - min_size], atol=1e-12, rtol=1e-12)
+            np.testing.assert_array_equal(_tree_prefix(values[None], estimator, family, gamma)[0], got[row])
+
+
+@given(tied_batches)
+@settings(max_examples=30, deadline=None)
+def test_tree_rows_against_naive(batch):
+    _check_tree(batch)
+
+
+@pytest.mark.parametrize("n", [2, 3, 511, 512, 513])
+def test_tree_edges_against_naive(n):
+    # n = 2 and 3 are the smallest trees; 512 = 2^9 needs no padding, 511
+    # and 513 the least and the most; rounding brings ties
+    batch = np.round(np.random.default_rng(n).gumbel(size=(2, n)), 1)
+    _check_tree(batch)
+    # the whole-sample estimator is the last prefix of whichever engine
+    # serves n, on both sides of the crossover
+    for estimator, family, gamma in ENGINES:
+        if n >= (3 if estimator is Estimator.B_HAT else 1):
+            pre = prefix_suffix_moments(batch, estimator, family, gamma)[0]
+            np.testing.assert_array_equal(full_sample_rows(batch, estimator, family, gamma), pre[:, n])
