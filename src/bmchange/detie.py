@@ -73,16 +73,20 @@ def load_csv(path, column: str | int | None = None) -> np.ndarray:
             raise DataError(f"{path}: no column named {column!r}")
         col_idx = header.index(column)
     offset = 2 if header is not None else 1
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        if len(row) <= col_idx:
-            raise DataError(f"{path}: row {i + offset} has only {len(row)} fields")
-        val = _try_float(row[col_idx].strip())
-        if val is None:
-            raise DataError(
-                f"{path}: row {i + offset}, column {col_idx + 1}: not a number: {row[col_idx]!r}"
-            )
-        out[i] = val
+    try:
+        out = np.fromiter((float(row[col_idx].strip()) for row in rows), float, len(rows))
+    except (IndexError, ValueError):
+        # the row loop names the first bad row
+        out = np.empty(len(rows))
+        for i, row in enumerate(rows):
+            if len(row) <= col_idx:
+                raise DataError(f"{path}: row {i + offset} has only {len(row)} fields")
+            val = _try_float(row[col_idx].strip())
+            if val is None:
+                raise DataError(
+                    f"{path}: row {i + offset}, column {col_idx + 1}: not a number: {row[col_idx]!r}"
+                )
+            out[i] = val
     return as_sample(out)
 
 

@@ -34,6 +34,19 @@ GPWM_SHAPE_HI = 2.0 - 1e-6
 # loop: the measured crossover of the two (BENCH_10.json).
 TREE_MIN_N = 512
 
+# Most engine rows for which the sorted-insertion loop shifts each row's
+# buffer at a precomputed position rather than merging all rows at once.
+# Both give the same raw sums bit for bit, so the outputs do not depend on
+# it.  Measured (BENCH_15.json): with up to 4 rows the shift wins from
+# n = 200 on and is within 8 % at n = 80; with 8 or more it loses below
+# n = 512.
+SHIFT_MAX_ROWS = 4
+
+# Rows per merge tree: the tree's temporaries grow with the rows it holds,
+# so larger batches run in chunks of this many.  At 128 rows of n = 1000
+# that cut the peak from 9.4 to 6.3 MB at the same speed (BENCH_15.json).
+TREE_CHUNK_ROWS = 32
+
 
 class Estimator(enum.Enum):
     BETA_HAT = "beta_hat"  # plotting-position estimator
@@ -393,25 +406,45 @@ def _uses_tree(n: int, family: WeightFamily) -> bool:
 def _loop_sums(values: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float | None):
     """Raw sums (R, n + 1, c) of X_1..X_k (row 0 unset) by incremental sorted insertion.
 
-    Each step merges every row's new value into that row's sorted buffer
+    Each step inserts every row's new value into that row's sorted buffer
     and takes the raw sums of all rows against fixed rank weights, one dot
     product per row and weight row.  The log weights have one origin per
     octave of k (see :func:`_log_origin`).  O(n^2) per row.
+
+    With at most ``SHIFT_MAX_ROWS`` rows, each row's buffer shifts up by
+    one slot from the value's precomputed position (:func:`_insert_positions`);
+    with more, a branchless merge updates every row in three vectorised
+    passes.  Both leave the same sorted values in the buffer, except that
+    numpy's max and min may swap the signs of tied zeros; the dot products
+    cannot see those, since they add zero products up to +0.0, so the raw
+    sums agree bit for bit.
     """
     rows, n = values.shape
+    buf = np.empty((rows, n))
+    shift = rows <= SHIFT_MAX_ROWS
+    if shift:
+        # a memoryview hands out the positions as Python ints, for slicing
+        lines = list(zip(buf, map(memoryview, _insert_positions(values)), values))
+    else:
+        spare = np.empty((rows, n))
     origins = [1 << b for b in range(n.bit_length())]
     weights = [_rank_weights(min(2 * o - 1, n), o, estimator, family, gamma) for o in origins]
     sums = np.empty((rows, n + 1, weights[0].shape[0]))
-    buf, spare = np.empty((rows, n)), np.empty((rows, n))
     for k in range(1, n + 1):
-        x = values[:, k - 1]
-        prev = buf[:, : k - 1]
-        # branchless merge: new[j] = min(old[j], max(x, old[j-1]))
-        nxt = spare[:, :k]
-        np.maximum(prev, x[:, None], out=nxt[:, 1:])
-        nxt[:, 0] = x
-        np.minimum(nxt[:, : k - 1], prev, out=nxt[:, : k - 1])
-        buf, spare = spare, buf
+        if shift:
+            for line, at, xs in lines:
+                p = at[k - 1]
+                line[p + 1 : k] = line[p : k - 1]
+                line[p] = xs[k - 1]
+        else:
+            x = values[:, k - 1]
+            prev = buf[:, : k - 1]
+            # branchless merge: new[j] = min(old[j], max(x, old[j-1]))
+            nxt = spare[:, :k]
+            np.maximum(prev, x[:, None], out=nxt[:, 1:])
+            nxt[:, 0] = x
+            np.minimum(nxt[:, : k - 1], prev, out=nxt[:, : k - 1])
+            buf, spare = spare, buf
         sums[:, k] = np.vecdot(buf[:, None, :k], weights[k.bit_length() - 1][:, :k])
     return sums
 
@@ -495,10 +528,88 @@ def _child_positions(level: int, ones: np.ndarray):
     return pos - ones, (pos & -(2 << level)) + ((1 << level) - 1) + ones
 
 
+def _ranks(values: np.ndarray):
+    """The stable argsort of each row and the rank of the value at each
+    position: ties rank in time order."""
+    rows, n = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    rank = np.empty((rows, n), np.int32)
+    np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None], axis=1)
+    return order, rank
+
+
+def _descend(rank: np.ndarray):
+    """Walk the merge tree of :func:`_tree_root` down from the root, whose
+    list is ``rank``: each row's ranks in time order.
+
+    For each level l from depth - 1 down to 0, yields l, the ranks listed
+    by the level-(l + 1) nodes (each node's members in arrival order), bit
+    l of each, zero-padded to whole nodes, and the count of set bits within
+    the node up to each listed position.  The children's lists are the
+    stable partitions of each node's list by that bit.
+    """
+    rows, n = rank.shape
+    depth = (n - 1).bit_length()
+    offset = (np.arange(rows) * n)[:, None]
+    for level in range(depth - 1, -1, -1):
+        bit = np.zeros((rows, 1 << depth), np.uint8)
+        np.bitwise_and(rank >> level, 1, out=bit[:, :n], casting="unsafe")
+        ones = _block_ones(bit, level)[:, :n]
+        yield level, rank, bit, ones
+        if level:
+            left, right = _child_positions(level, ones)
+            dest = np.where(bit[:, :n], right, left)
+            del left, right, bit, ones
+            dest += offset
+            moved = np.empty_like(rank)
+            moved.reshape(-1)[dest] = rank
+            rank = moved
+            del dest, moved
+
+
+def _insert_positions(values: np.ndarray) -> np.ndarray:
+    """Where the sorted-insertion loop puts each value: p[r, k - 1] =
+    #{j < k : x_j <= x_k} in row r, so X_k goes after every earlier value
+    it ties with.
+
+    O(n log n) per row on the tree of :func:`_descend`.  With stable ranks
+    the earlier values <= x_k are the earlier ones of lower rank, and each
+    level adds to a right member the left members listed before it.
+    """
+    rows, n = values.shape
+    _, rank = _ranks(values)
+    below = np.zeros(rows * n, np.int32)  # by rank
+    offset = (np.arange(rows) * n)[:, None]
+    pos = np.arange(n)
+    for level, listed, bit, ones in _descend(rank):
+        left_before = (pos & ((2 << level) - 1)) + 1 - ones
+        left_before *= bit[:, :n]
+        below[listed + offset] += left_before
+    return np.take_along_axis(below.reshape(rows, n), rank, axis=1)
+
+
 def _tree_sums(values: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float | None):
     """Raw sums (R, n + 1, 3) of X_1..X_k (row 0 unset) against the
     polynomial rank weights 1, p1(j), p2(j), by a merge tree over value
-    ranks: O(n log n) per row.
+    ranks (:func:`_tree_root`): O(n log n) per row.  The rows run in chunks
+    of ``TREE_CHUNK_ROWS``, so that one chunk's tree at a time is alive
+    beside the sums."""
+    rows, n = values.shape
+    sums = None
+    for start in range(0, rows, TREE_CHUNK_ROWS):
+        chunk = slice(start, start + TREE_CHUNK_ROWS)
+        root = _tree_root(values[chunk], estimator, family, gamma)
+        if sums is None:  # after the first tree, which then peaks without it
+            sums = np.empty((rows, n + 1, 3))
+        for i in range(3):
+            sums[chunk, 1:, i] = root.pop(0)[:-1].reshape(-1, n)
+    return sums
+
+
+def _tree_root(values: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float | None) -> list:
+    """The root's raw sums S0, S1, S2 of the merge tree over the (R, n)
+    ``values``, in the form of :func:`_leaves`: prefix k of row r at
+    r n + k - 1.
 
     A stable argsort gives every value a rank.  A node at level l covers
     the 2^l consecutive ranks [m 2^l, (m + 1) 2^l); for each of its members
@@ -524,30 +635,13 @@ def _tree_sums(values: np.ndarray, estimator: Estimator, family: WeightFamily, g
     rows, n = values.shape
     depth = (n - 1).bit_length()
     size = 1 << depth
-    order = np.argsort(values, axis=1, kind="stable")
-    # the rank of the value at each position of the root's list: time order
-    rank = np.empty((rows, n), np.int32)
-    np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None], axis=1)
-    offset = (np.arange(rows) * n)[:, None]
-    bits = []
-    for level in range(depth - 1, -1, -1):
-        bit = np.zeros((rows, size), np.uint8)
-        np.bitwise_and(rank >> level, 1, out=bit[:, :n], casting="unsafe")
-        bits.append(np.packbits(bit, axis=1))
-        if level:
-            left, right = _child_positions(level, _block_ones(bit, level)[:, :n])
-            dest = np.where(bit[:, :n], right, left)
-            del left, right
-            dest += offset
-            moved = np.empty_like(rank)
-            moved.reshape(-1)[dest] = rank
-            rank = moved
-            del dest, moved
-        del bit
+    order, rank = _ranks(values)
+    bits = [np.packbits(bit, axis=1) for _, _, bit, _ in _descend(rank)]
     p1, p2, q = _shift_table(depth, estimator, family, gamma)
     # level 0 lists the values by rank
     state = _leaves(np.take_along_axis(values, order, axis=1).reshape(-1), p1, p2)
     del order, rank
+    offset = (np.arange(rows) * n)[:, None]
     pos = np.arange(n)
     empty = rows * n
     for level in range(depth):
@@ -561,10 +655,7 @@ def _tree_sums(values: np.ndarray, estimator: Estimator, family: WeightFamily, g
         del ones
         state = _merge(state, left, right, left_ones, q)
         del left, right, left_ones
-    sums = np.empty((rows, n + 1, 3))
-    for i, s in enumerate(state):
-        sums[:, 1:, i] = s[:-1].reshape(rows, n)
-    return sums
+    return state
 
 
 def _fold_sums(s: np.ndarray, estimator: Estimator, family: WeightFamily, gamma: float | None):

@@ -48,6 +48,31 @@ def test_load_csv_errors(tmp_path):
         load_csv(empty)
 
 
+def test_load_csv_parses_as_float(tmp_path):
+    # repr-written doubles over the whole range load bit for bit as float()
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 0x7FF0000000000000, size=200, dtype=np.int64).view(float)
+    signs = np.where(rng.random(200) < 0.5, -1.0, 1.0)
+    values = [*(bits * signs), 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+    tokens = [repr(float(v)) for v in values]
+    f = tmp_path / "a.csv"
+    f.write_text("x\n" + "\n".join(f" {tok} " for tok in tokens) + "\n")
+    want = np.array([float(tok) for tok in tokens])
+    assert load_csv(f).tobytes() == want.tobytes()
+
+
+def test_load_csv_names_the_bad_row(tmp_path):
+    f = tmp_path / "a.csv"
+    f.write_text("x,y\n1,2\n3,1e\n5,oops\n")
+    with pytest.raises(DataError) as err:
+        load_csv(f, column="y")
+    assert str(err.value) == f"{f}: row 3, column 2: not a number: '1e'"
+    f.write_text("x,y\n1,2\n3\n5,oops\n")
+    with pytest.raises(DataError) as err:
+        load_csv(f, column="y")
+    assert str(err.value) == f"{f}: row 3 has only 1 fields"
+
+
 def test_tie_step():
     assert tie_step([1.0, 1.0, 1.5, 3.0]) == 0.5
     assert tie_step([2.0, 2.0]) == 0.0

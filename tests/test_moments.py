@@ -286,3 +286,54 @@ def test_tree_edges_against_naive(n):
         if n >= (3 if estimator is Estimator.B_HAT else 1):
             pre = prefix_suffix_moments(batch, estimator, family, gamma)[0]
             np.testing.assert_array_equal(full_sample_rows(batch, estimator, family, gamma), pre[:, n])
+
+
+def _loop_both_ways(values, estimator, family, gamma):
+    """The loop's raw sums of every row with the branchless merge and with
+    the precomputed-position shift, whatever the number of rows."""
+    saved = moments.SHIFT_MAX_ROWS
+    try:
+        out = []
+        for limit in (0, values.shape[0]):
+            moments.SHIFT_MAX_ROWS = limit
+            out.append(moments._loop_sums(values, estimator, family, gamma)[:, 1:])
+        return out
+    finally:
+        moments.SHIFT_MAX_ROWS = saved
+
+
+def _check_buffer_updates(batch):
+    """Both buffer updates give the batch's raw sums bit for bit, ±0
+    included, and each row alone (which shifts) gives its batch row."""
+    for estimator, family, gamma in ENGINES:
+        got = moments._loop_sums(batch, estimator, family, gamma)[:, 1:]
+        for way in _loop_both_ways(batch, estimator, family, gamma):
+            assert way.tobytes() == got.tobytes()
+        for row, values in enumerate(batch):
+            alone = moments._loop_sums(values[None], estimator, family, gamma)[:, 1:]
+            assert alone.tobytes() == got[row].tobytes()
+
+
+# tied batches with some of their zeros negative
+signed_zero_batches = tied_batches.flatmap(
+    lambda b: st.lists(st.booleans(), min_size=b.size, max_size=b.size).map(
+        lambda neg: np.where((b == 0.0) & np.reshape(neg, b.shape), -0.0, b)
+    )
+)
+
+
+@given(signed_zero_batches)
+@settings(max_examples=30, deadline=None)
+def test_loop_buffer_updates_agree(batch):
+    _check_buffer_updates(batch)
+
+
+@pytest.mark.parametrize("n", [2, 3, 511, 512])
+def test_loop_buffer_updates_agree_edges(n):
+    # one row above the shift's limit, so that the batch merges and each
+    # row alone shifts; rounding brings ties, and the zeros get both signs
+    rng = np.random.default_rng(n)
+    batch = np.round(rng.gumbel(size=(moments.SHIFT_MAX_ROWS + 1, n)), 1)
+    batch[rng.random(batch.shape) < 0.1] = 0.0
+    batch[rng.random(batch.shape) < 0.1] = -0.0
+    _check_buffer_updates(batch)
