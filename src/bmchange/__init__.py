@@ -4,6 +4,7 @@ The tests compare probability-weighted-moment GEV parameter estimates on
 every prefix/suffix split of a series, studentize the largest discrepancy
 and read a p-value off the Kolmogorov distribution.
 """
+# The names imported here are the package's public API.
 from .distributions import (
     DataError,
     FeasibilityError,
@@ -46,7 +47,9 @@ from .gev_maps import (
     pwm_to_gev_exact,
 )
 from .cusum import (
+    BatchResult,
     Family,
+    Reason,
     TestConfig,
     TestResult,
     family_suite,
@@ -58,7 +61,7 @@ from .cusum import (
     sigma_hat,
     statistic,
 )
-from .baselines import mean_cusum, variance_cusum
+from .baselines import mean_cusum, run_baselines, variance_cusum
 from .montecarlo import (
     BlockMaxGen,
     ChangeGen,
@@ -73,68 +76,3 @@ from .montecarlo import (
 from .detie import DetieReport, detie_replicate, detie_report, load_csv, tie_step
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DataError",
-    "FeasibilityError",
-    "GevParams",
-    "GpdParams",
-    "GevDist",
-    "GpdDist",
-    "AbsStudentTDist",
-    "NormalDist",
-    "ExponentialDist",
-    "gev_cdf",
-    "gev_quantile",
-    "gpd_cdf",
-    "gpd_quantile",
-    "sample_gev",
-    "sample_block_maxima",
-    "kolmogorov_cdf",
-    "GPWM",
-    "PWM",
-    "Estimator",
-    "MomentTriple",
-    "WeightFamily",
-    "b_hat",
-    "beta_hat",
-    "exact_pwm_gev",
-    "in_dh",
-    "in_dxi",
-    "prefix_suffix_moments",
-    "GevMapKind",
-    "SolveFailure",
-    "gpwm_to_gev_approx",
-    "gpwm_to_gev_exact",
-    "jacobian",
-    "map_triple",
-    "pwm_to_gev_approx",
-    "pwm_to_gev_exact",
-    "Family",
-    "TestConfig",
-    "TestResult",
-    "family_suite",
-    "pseudo_observations",
-    "recenter",
-    "run_batch",
-    "run_suite",
-    "run_test",
-    "sigma_hat",
-    "statistic",
-    "mean_cusum",
-    "variance_cusum",
-    "BlockMaxGen",
-    "ChangeGen",
-    "NullGen",
-    "Scenario",
-    "SimReport",
-    "cell_scenario",
-    "run_scenario",
-    "scenario_from_dict",
-    "table_runner",
-    "DetieReport",
-    "detie_replicate",
-    "detie_report",
-    "load_csv",
-    "tie_step",
-]

@@ -90,8 +90,8 @@ def cmd_test(file, column, family, target, r, no_recenter, alpha, seed, fmt):
         )
     fam = Family(family)
     targets = list(TARGETS) if target == "all" else [target]
-    configs = [TestConfig(family=fam, target=t, r=r, recenter=not no_recenter) for t in targets]
     with _exit_codes():
+        configs = [TestConfig(family=fam, target=t, r=r, recenter=not no_recenter) for t in targets]
         results = run_suite(values, configs)
     per_test = [res.to_dict() for res in results]
     report = {

@@ -11,7 +11,6 @@ by a plug-in estimate of the asymptotic variance.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -19,12 +18,11 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .distributions import DataError, FeasibilityError, GevParams, as_rows, as_sample
-from .gev_maps import PARAMS, approx_map_rows, map_outcome
+from .gev_maps import PARAMS, approx_map_rows, map_outcome, params_ok_rows
 from .moments import (
     GPWM,
     PWM,
     Estimator,
-    MomentTriple,
     WeightFamily,
     full_sample_rows,
     in_dh_rows,
@@ -79,11 +77,10 @@ class TestConfig:
             raise DataError("trim r must be at least 1")
         if self.variance_correction is not None and self.variance_correction <= 0:
             raise DataError("variance correction must be positive")
+        self.resolved_gamma()  # an offset the weights cannot take fails here, not on every row
 
     def resolved_gamma(self) -> float:
-        if self.gamma is not None:
-            return self.gamma
-        return _FAMILY_SETUP[self.family][1].default_gamma
+        return _FAMILY_SETUP[self.family][1].resolve_gamma(self.gamma)
 
     def resolved_correction(self, n: int) -> float:
         if self.variance_correction is not None:
@@ -134,55 +131,112 @@ class TestResult:
         }
 
 
+class Reason(enum.IntEnum):
+    """Why a test gives no decision on a row, with the exception and message
+    of each: the one table of them.  ``run_batch`` reports the codes as
+    int8.  A row keeps its first failure; the checks run in code order,
+    except that recentering fails a row whose moments are not finite with
+    TRIPLE_NOT_FINITE.  In a message, {two_r} is 2r, {family} the test
+    family and {detail} the approximate map's own error on the row's
+    moment triple."""
+
+    def __new__(cls, code: int, kind=None, message: str = ""):
+        reason = int.__new__(cls, code)
+        reason._value_, reason.kind, reason.message = code, kind, message
+        return reason
+
+    OK = 0
+    NOT_FINITE = 1, DataError, "a sample must contain only finite values"
+    ALL_TIED = 2, DataError, "all values are tied"
+    FEW_DISTINCT = 3, DataError, "fewer than 3 distinct values"
+    SHORT = 4, DataError, "need n >= 2r = {two_r} observations"
+    CANNOT_RECENTER = 5, FeasibilityError, "cannot recenter: full-sample moments outside the {family} map domain ({detail})"
+    TRIPLE_NOT_FINITE = 6, DataError, "moment triple entries must be finite"
+    NO_SPLIT = 7, FeasibilityError, "no feasible split: every k was skipped"
+    OFF_DOMAIN = 8, FeasibilityError, "{detail}"
+    DEGENERATE_VARIANCE = 9, DataError, "degenerate variance estimate (near-constant sample?)"
+    ZERO_VARIANCE = 10, DataError, "degenerate sample: zero variance"  # the baselines' check
+
+
+def _reason_error(code: int, r: int = 0, family: Family | None = None, triple=None) -> ValueError:
+    """The exception of reason ``code`` for a test with trim r of ``family``;
+    ``triple`` is the row's moment triple, which the map-domain messages show."""
+    reason = Reason(code)
+    detail = None
+    if reason in (Reason.CANNOT_RECENTER, Reason.OFF_DOMAIN):
+        tag = _FAMILY_SETUP[family][1].tag
+        detail = map_outcome(tag, triple, approx_map_rows(tag, triple[None])[0])
+    exc = reason.kind(reason.message.format(two_r=2 * r, family=family and family.value, detail=detail))
+    exc.__cause__ = detail
+    return exc
+
+
+def fail_rows(reason: np.ndarray, failed, code: Reason) -> None:
+    """Give ``code`` to the rows that fail a check and passed every earlier one."""
+    reason[(reason == Reason.OK) & failed] = code
+
+
+class BatchResult(NamedTuple):
+    """One test over the R rows of a batch; a row's numbers hold where its
+    ``reason`` is OK.  :func:`batch_cell` gives a row as one series would."""
+
+    statistic: np.ndarray   # (R,) in data units
+    sigma_hat: np.ndarray   # (R,) in data units
+    p_value: np.ndarray     # (R,)
+    argmax_k: np.ndarray    # (R,) split of the maximum
+    valid: np.ndarray       # (R, len(ks)) splits where both sides are feasible
+    ks: np.ndarray          # splits r..n-r
+    left: np.ndarray | None   # (R, 3) side estimates at the maximum, in data units
+    right: np.ndarray | None
+    reason: np.ndarray      # (R,) int8 Reason codes
+    triples: np.ndarray | None  # (R, 3) unit-scaled full-sample moments
+
+
+def failed_batch(reason: np.ndarray) -> BatchResult:
+    """The record of a test that every row fails before any split: ``reason``
+    holds each row's failure."""
+    rows = reason.size
+    nan = np.full(rows, np.nan)
+    return BatchResult(nan, nan, nan, np.zeros(rows, int), np.zeros((rows, 0), bool), np.arange(0),
+                       None, None, reason, None)
+
+
 def _full_sample_rows(values: np.ndarray, config: TestConfig) -> np.ndarray:
     estimator, weights = _FAMILY_SETUP[config.family]
     return full_sample_rows(values, estimator, weights, config.resolved_gamma())
 
 
-def _error_of(fn, *args) -> ValueError | None:
-    try:
-        fn(*args)
-    except ValueError as exc:
-        return exc
-    return None
-
-
-def _recenter_rows(values: np.ndarray, config: TestConfig):
-    """Subtract each row's full-sample location estimate.
-
-    Returns the shifted (R, n) rows and, per row, the error that
-    :func:`recenter` raises on that row alone (None when it succeeds); a
-    failed row is left unshifted.
-    """
+def _recenter_rows(values: np.ndarray, config: TestConfig, reason: np.ndarray):
+    """Subtract each row's full-sample location estimate; returns the rows
+    and their full-sample triples.  Rows where the estimate is undefined
+    fail in ``reason`` and are left unshifted."""
     triples = _full_sample_rows(values, config)
-    tag = _FAMILY_SETUP[config.family][1].tag
-    params = approx_map_rows(tag, triples)
-    errors = []
-    for triple, row in zip(triples, params):
-        exc = _error_of(MomentTriple, *triple.tolist())
-        if exc is None:
-            outcome = map_outcome(tag, triple, row)
-            if isinstance(outcome, ValueError):
-                exc = FeasibilityError(
-                    f"cannot recenter: full-sample moments outside the {config.family.value} map domain ({outcome})"
-                )
-                exc.__cause__ = outcome
-        errors.append(exc)
-    failed = np.array([exc is not None for exc in errors])
-    return values - np.where(failed, 0.0, params[:, 0])[:, None], errors
+    params = approx_map_rows(_FAMILY_SETUP[config.family][1].tag, triples)
+    finite = np.isfinite(triples).all(axis=1)
+    ok = finite & params_ok_rows(params)
+    fail_rows(reason, ~finite, Reason.TRIPLE_NOT_FINITE)
+    fail_rows(reason, ~ok, Reason.CANNOT_RECENTER)
+    return values - np.where(ok, params[:, 0], 0.0)[:, None], triples
+
+
+def _raise_for(reason: np.ndarray, config: TestConfig, triples=None) -> None:
+    """Raise the one-series error of the first row's reason, if it has one."""
+    if reason[0]:
+        raise _reason_error(reason[0], config.r, config.family, None if triples is None else triples[0])
 
 
 def recenter(sample, config: TestConfig) -> np.ndarray:
     """Subtract the full-sample location estimate of the config's family."""
-    values, errors = _recenter_rows(as_sample(sample)[None], config)
-    _raise_if_error(errors[0])
+    reason = np.zeros(1, np.int8)
+    values, triples = _recenter_rows(as_sample(sample)[None], config, reason)
+    _raise_for(reason, config, triples)
     return values[0]
 
 
 class _Group(NamedTuple):
     """Per-family work shared by every target of a test group, over R rows."""
 
-    errors: list            # per row: the group's failure on that row alone, or None
+    reason: np.ndarray      # (R,) the rows' failures so far
     ks: np.ndarray          # splits r..n-r
     left: np.ndarray        # (R, len(ks), 3) prefix parameters, NaN where skipped
     right: np.ndarray       # suffix parameters, likewise
@@ -207,49 +261,42 @@ def unit_rows(values: np.ndarray):
     return np.ldexp(values, -exponent[:, None]), exponent
 
 
-def _too_few_distinct(values: np.ndarray) -> list:
-    """Per row, a DataError when it has fewer than 3 distinct values, which
-    cannot identify three GEV parameters, or None."""
-    s = np.sort(values, axis=1)
-    distinct = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
-    return [
-        None if d >= 3 else DataError("all values are tied" if d == 1 else "fewer than 3 distinct values")
-        for d in distinct.tolist()
-    ]
-
-
-def _family_group(values: np.ndarray, config: TestConfig, do_recenter: bool) -> _Group:
+def _family_group(values: np.ndarray, config: TestConfig, do_recenter: bool, reason: np.ndarray) -> _Group:
+    """The shared work of one test group; ``reason`` holds the rows' failures
+    so far and is not changed."""
     rows, n = values.shape
     r, family, gamma = config.r, config.family, config.resolved_gamma()
     estimator, weights = _FAMILY_SETUP[family]
-    errors = _too_few_distinct(values)
+    reason = reason.copy()
+    # fewer than 3 distinct values cannot identify three GEV parameters
+    s = np.sort(values, axis=1)
+    distinct = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
+    fail_rows(reason, distinct == 1, Reason.ALL_TIED)
+    fail_rows(reason, distinct == 2, Reason.FEW_DISTINCT)
+    fail_rows(reason, n < 2 * r, Reason.SHORT)
+    if not (reason == Reason.OK).any():  # no row left to test, as at every n < 3
+        return _Group(reason, *[None] * 8)
     values, exponent = unit_rows(values)
-    try:
-        if n < 2 * r:
-            raise DataError(f"need n >= 2r = {2 * r} observations")
-        if do_recenter:
-            values, recenter_errors = _recenter_rows(values, config)
-            errors = [e or f for e, f in zip(errors, recenter_errors)]
-        prefix, pre_ok, suffix, suf_ok = prefix_suffix_moments(values, estimator, weights, gamma)
-        ks = np.arange(r, n - r + 1)
-        prefix, suffix = prefix[:, ks].reshape(-1, 3), suffix[:, ks].reshape(-1, 3)
-        ok = np.broadcast_to(pre_ok[ks] & suf_ok[ks], (rows, ks.size)).ravel()
-        # The pwm map is NaN off D_xi, so pwm-t and pwm-s skip exactly those
-        # splits; D_h is narrower than the domain of the gpwm map.
-        if family is Family.GPWM_S:
-            ok = ok & in_dh_rows(prefix) & in_dh_rows(suffix)
-        left = np.where(ok[:, None], approx_map_rows(weights.tag, prefix), np.nan).reshape(rows, -1, 3)
-        right = np.where(ok[:, None], approx_map_rows(weights.tag, suffix), np.nan).reshape(rows, -1, 3)
-        del prefix, suffix
-        y = pseudo_observations(values, weights, gamma)
-        y -= y.mean(axis=1, keepdims=True)
-        cov = np.matmul(y.transpose(0, 2, 1), y) * (1.0 / n)
-        triples = _full_sample_rows(values, config)
-        params, jac = approx_map_rows(weights.tag, triples, grad=True)
-    except (DataError, FeasibilityError) as exc:  # the same on every row
-        return _Group([e or exc for e in errors], *[None] * 8)
-    errors = [e or _error_of(MomentTriple, *t.tolist()) for e, t in zip(errors, triples)]
-    return _Group(errors, ks, left, right, cov, triples, params, jac, exponent)
+    if do_recenter:
+        values, _ = _recenter_rows(values, config, reason)
+    prefix, pre_ok, suffix, suf_ok = prefix_suffix_moments(values, estimator, weights, gamma)
+    ks = np.arange(r, n - r + 1)
+    prefix, suffix = prefix[:, ks].reshape(-1, 3), suffix[:, ks].reshape(-1, 3)
+    ok = np.broadcast_to(pre_ok[ks] & suf_ok[ks], (rows, ks.size)).ravel()
+    # The pwm map is NaN off D_xi, so pwm-t and pwm-s skip exactly those
+    # splits; D_h is narrower than the domain of the gpwm map.
+    if family is Family.GPWM_S:
+        ok = ok & in_dh_rows(prefix) & in_dh_rows(suffix)
+    left = np.where(ok[:, None], approx_map_rows(weights.tag, prefix), np.nan).reshape(rows, -1, 3)
+    right = np.where(ok[:, None], approx_map_rows(weights.tag, suffix), np.nan).reshape(rows, -1, 3)
+    del prefix, suffix
+    y = pseudo_observations(values, weights, gamma)
+    y -= y.mean(axis=1, keepdims=True)
+    cov = np.matmul(y.transpose(0, 2, 1), y) * (1.0 / n)
+    triples = _full_sample_rows(values, config)
+    params, jac = approx_map_rows(weights.tag, triples, grad=True)
+    fail_rows(reason, ~np.isfinite(triples).all(axis=1), Reason.TRIPLE_NOT_FINITE)
+    return _Group(reason, ks, left, right, cov, triples, params, jac, exponent)
 
 
 class SplitMax(NamedTuple):
@@ -270,23 +317,16 @@ def split_max(left: np.ndarray, right: np.ndarray, ks: np.ndarray, n: int) -> Sp
     return SplitMax(vals[np.arange(vals.shape[0]), idx], idx, valid)
 
 
-def _no_split(valid_row: np.ndarray) -> FeasibilityError | None:
-    return None if valid_row.any() else FeasibilityError("no feasible split: every k was skipped")
-
-
-def _variances(group: _Group, config: TestConfig, n: int) -> np.ndarray:
+def _sd_rows(group: _Group, config: TestConfig, n: int, reason: np.ndarray) -> np.ndarray:
+    """Per row, the plug-in standard deviation of the statistic on the
+    unit-scaled data; fails the rows where it is undefined in ``reason``
+    and gives them 1."""
     grad = group.jac[:, TARGETS.index(config.target)]
     with np.errstate(invalid="ignore", over="ignore"):
-        var = np.vecdot((grad[:, None, :] @ group.cov)[:, 0], grad)
-    return var * config.resolved_correction(n)
-
-
-def _sd_or_error(group: _Group, row: int, var: float, config: TestConfig) -> float | ValueError:
-    if np.isnan(group.params[row, 2]):
-        return map_outcome(_FAMILY_SETUP[config.family][1].tag, group.triples[row], group.params[row])
-    if not var > 0.0:
-        return DataError("degenerate variance estimate (near-constant sample?)")
-    return math.sqrt(var)
+        var = np.vecdot((grad[:, None, :] @ group.cov)[:, 0], grad) * config.resolved_correction(n)
+    fail_rows(reason, np.isnan(group.params[:, 2]), Reason.OFF_DOMAIN)
+    fail_rows(reason, ~(var > 0.0), Reason.DEGENERATE_VARIANCE)
+    return np.sqrt(np.where(reason == Reason.OK, var, 1.0))
 
 
 def _raise_if_error(value):
@@ -302,14 +342,11 @@ def statistic(sample, config: TestConfig):
     :func:`run_test` for the full pipeline).
     """
     values = as_sample(sample)
-    group = _family_group(values[None], config, do_recenter=False)
-    _raise_if_error(group.errors[0])
-    col = TARGETS.index(config.target)
-    stats = split_max(group.left[:, :, col], group.right[:, :, col], group.ks, values.size)
-    _raise_if_error(_no_split(stats.valid[0]))
-    skipped = tuple(group.ks[~stats.valid[0]].tolist())
-    value = float(np.ldexp(stats.value[0], group.exponent[0] * _DATA_UNITS[col]))
-    return value, int(group.ks[stats.index[0]]), skipped
+    batch = _test_rows(_family_group(values[None], config, False, np.zeros(1, np.int8)), config, values.size)
+    if batch.reason[0] <= Reason.NO_SPLIT:  # the later checks are the variance's
+        _raise_for(batch.reason, config)
+    skipped = tuple(batch.ks[~batch.valid[0]].tolist())
+    return float(batch.statistic[0]), int(batch.argmax_k[0]), skipped
 
 
 def pseudo_observations(sample, family: WeightFamily = PWM, gamma: float | None = None) -> np.ndarray:
@@ -351,11 +388,11 @@ def pseudo_observations(sample, family: WeightFamily = PWM, gamma: float | None 
 def sigma_hat(sample, config: TestConfig) -> float:
     """Plug-in estimate of the asymptotic standard deviation of the statistic."""
     values = as_sample(sample)
-    group = _family_group(values[None], config, do_recenter=False)
-    _raise_if_error(group.errors[0])
-    var = _variances(group, config, values.size)
-    sd = _raise_if_error(_sd_or_error(group, 0, var[0], config))
-    return float(np.ldexp(sd, group.exponent[0] * _DATA_UNITS[TARGETS.index(config.target)]))
+    group = _family_group(values[None], config, False, np.zeros(1, np.int8))
+    _raise_for(group.reason, config)
+    sd = _sd_rows(group, config, values.size, group.reason)
+    _raise_for(group.reason, config, group.triples)
+    return float(np.ldexp(sd[0], group.exponent[0] * _DATA_UNITS[TARGETS.index(config.target)]))
 
 
 def run_test(sample, config: TestConfig) -> TestResult:
@@ -371,90 +408,81 @@ def _groups(configs: list[TestConfig]) -> list[list[int]]:
     return list(by_key.values())
 
 
-def studentize(stats: SplitMax, sds: list, ks: np.ndarray, n: int, name: str, exponent: np.ndarray,
-               config: TestConfig | None = None, sides=None) -> list:
-    """Per row, a TestResult with p-value kolmogorov(statistic / sd), or the
-    row's error in ``sds``.  Statistic and sd are reported times 2^exponent
-    (per row), in data units.  ``sides``: the (R, 3) left and right
-    estimates at the maximum, in data units."""
-    scale = np.array([sd if isinstance(sd, float) else 1.0 for sd in sds])
-    p_values = kolmogorov(stats.value / scale)
+def studentize(stats: SplitMax, sd: np.ndarray, ks: np.ndarray, exponent: np.ndarray, reason: np.ndarray,
+               triples=None, sides=(None, None)) -> BatchResult:
+    """The record of one test: per row the p-value kolmogorov(statistic / sd),
+    with statistic and sd reported times 2^exponent, in data units.  ``sd``
+    is 1 on the rows that ``reason`` fails; ``sides`` are the (R, 3) left
+    and right estimates at the maximum, in data units."""
     with np.errstate(over="ignore"):  # a squared-unit statistic of data near 1e300 is not finite
-        stat_units, sd_units = np.ldexp(stats.value, exponent), np.ldexp(scale, exponent)
-    out = []
-    for row, sd in enumerate(sds):
-        if isinstance(sd, Exception):
-            out.append(sd)
-            continue
-        idx = int(stats.index[row])
-        left = right = None
-        if sides is not None:
-            try:
-                left = GevParams(*sides[0][row].tolist())
-                right = GevParams(*sides[1][row].tolist())
-            except ValueError:
-                pass  # side estimates are descriptive only
-        out.append(
-            TestResult(
-                statistic=float(stat_units[row]),
-                sigma_hat=float(sd_units[row]),
-                p_value=float(p_values[row]),
-                argmax_k=int(ks[idx]),
-                left_params=left,
-                right_params=right,
-                skipped_k=tuple(ks[~stats.valid[row]].tolist()),
-                config=config,
-                n=n,
-                name=name,
-            )
-        )
-    return out
+        stat_units, sd_units = np.ldexp(stats.value, exponent), np.ldexp(sd, exponent)
+    return BatchResult(stat_units, sd_units, kolmogorov(stats.value / sd), ks[stats.index], stats.valid, ks,
+                       *sides, reason, triples)
 
 
-def _cells(group: _Group, config: TestConfig, n: int) -> list:
-    """One test over every row of a group: a TestResult or the row's error."""
+def _test_rows(group: _Group, config: TestConfig, n: int) -> BatchResult:
+    """One test over every row of a group."""
     if group.ks is None:
-        return list(group.errors)
+        return failed_batch(group.reason)
     col = TARGETS.index(config.target)
     stats = split_max(group.left[:, :, col], group.right[:, :, col], group.ks, n)
-    var = _variances(group, config, n)
-    sds = [
-        error or _no_split(stats.valid[row]) or _sd_or_error(group, row, var[row], config)
-        for row, error in enumerate(group.errors)
-    ]
-    at = (np.arange(len(sds)), stats.index)
+    reason = group.reason.copy()
+    fail_rows(reason, ~stats.valid.any(axis=1), Reason.NO_SPLIT)
+    sd = _sd_rows(group, config, n, reason)
+    at = (np.arange(reason.size), stats.index)
     exponent = group.exponent[:, None] * _DATA_UNITS
     sides = [np.ldexp(side[at], exponent) for side in (group.left, group.right)]
-    return studentize(stats, sds, group.ks, n, config.name, exponent[:, col], config, sides)
+    return studentize(stats, sd, group.ks, exponent[:, col], reason, group.triples, sides)
+
+
+def batch_cell(batch: BatchResult, row: int, n: int, name: str, r: int, config: TestConfig | None = None):
+    """One row of a batch record as the one-series functions give it: the
+    TestResult, or the exception that the test raises on that row alone."""
+    if batch.reason[row]:
+        triple = None if batch.triples is None else batch.triples[row]
+        return _reason_error(batch.reason[row], r, None if config is None else config.family, triple)
+    left = right = None
+    if batch.left is not None:
+        try:
+            left = GevParams(*batch.left[row].tolist())
+            right = GevParams(*batch.right[row].tolist())
+        except ValueError:
+            pass  # side estimates are descriptive only
+    return TestResult(
+        statistic=float(batch.statistic[row]), sigma_hat=float(batch.sigma_hat[row]),
+        p_value=float(batch.p_value[row]), argmax_k=int(batch.argmax_k[row]),
+        left_params=left, right_params=right, skipped_k=tuple(batch.ks[~batch.valid[row]].tolist()),
+        config=config, n=n, name=name,
+    )
 
 
 def finite_rows(samples):
-    """An (R, n) batch with non-finite values set to 0, and per row its as_sample error or None."""
+    """An (R, n) batch with non-finite values set to 0, and per row its
+    reason so far: NOT_FINITE where it held any, else OK."""
     values = np.asarray(samples, dtype=float)
-    bad = [_error_of(as_sample, row) for row in values] if values.ndim == 2 else []
-    return as_rows(np.where(np.isfinite(values), values, 0.0)), bad
+    finite = np.isfinite(values)
+    rows = as_rows(np.where(finite, values, 0.0))
+    return rows, np.where(finite.all(axis=1), Reason.OK, Reason.NOT_FINITE).astype(np.int8)
 
 
-def run_batch(samples, configs: list[TestConfig]) -> list[list]:
+def run_batch(samples, configs: list[TestConfig]) -> list[BatchResult]:
     """Run several tests on each row of an (R, n) array of samples.
 
-    Returns one list per row with one entry per config: the TestResult, or
-    the FeasibilityError/DataError that the test raises on that row alone.
-    Tests of one family share the per-family work, which runs once over all
-    rows; a row that is not finite fails every test.  Every product is
-    taken row by row, so a row's results do not depend on the other rows.
+    Returns one BatchResult per config, whose ``reason`` tells per row
+    whether the test gave a decision and why not.  Tests of one family
+    share the per-family work, which runs once over all rows; a row that
+    is not finite fails every test.  Every product is taken row by row, so
+    a row's results do not depend on the other rows.
     """
-    values, bad = finite_rows(samples)
+    values, reason = finite_rows(samples)
     n = values.shape[1]
-    cells = [[None] * len(configs) for _ in values]
+    batches = [None] * len(configs)
     for idxs in _groups(configs):
-        group = _family_group(values, configs[idxs[0]], configs[idxs[0]].recenter)
-        group = group._replace(errors=[b or e for b, e in zip(bad, group.errors)])
+        group = _family_group(values, configs[idxs[0]], configs[idxs[0]].recenter, reason)
         for i in idxs:
-            for row, cell in enumerate(_cells(group, configs[i], n)):
-                cells[row][i] = cell
+            batches[i] = _test_rows(group, configs[i], n)
         del group  # free this family's arrays before the next family's
-    return cells
+    return batches
 
 
 def run_suite(sample, configs: list[TestConfig]) -> list[TestResult]:
@@ -463,7 +491,9 @@ def run_suite(sample, configs: list[TestConfig]) -> list[TestResult]:
     The one-row case of :func:`run_batch`.  Raises the first failure: groups
     in order of first appearance, targets in config order.
     """
-    cells = run_batch(as_sample(sample)[None], configs)[0]
+    values = as_sample(sample)
+    batches = run_batch(values[None], configs)
+    cells = [batch_cell(b, 0, values.size, cfg.name, cfg.r, cfg) for b, cfg in zip(batches, configs)]
     for idxs in _groups(configs):
         for i in idxs:
             _raise_if_error(cells[i])

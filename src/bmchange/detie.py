@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cusum import Family, family_suite, run_batch
-from .distributions import DataError, GevParams, as_sample
-from .gev_maps import approx_map_rows, map_outcome
+from .cusum import Family, Reason, family_suite, run_batch
+from .distributions import DataError, as_sample
+from .gev_maps import approx_map_rows, params_ok_rows
 from .moments import Estimator, full_sample_rows
 from .montecarlo import CHUNK
 
@@ -186,7 +186,6 @@ def detie_report(
     configs = family_suite(family, r=r)
     p_rows = []
     est_rows = []
-    failures = 0
     for start in range(0, replications, CHUNK):
         jittered = np.stack([detie_replicate(values, rng) for _ in range(min(CHUNK, replications - start))])
         try:
@@ -194,24 +193,22 @@ def detie_report(
         except DataError:  # fewer than 3 observations: every copy fails
             triples = np.full((len(jittered), 3), np.nan)
         params = approx_map_rows("pwm", triples)
-        for cells, triple, row in zip(run_batch(jittered, configs), triples, params):
-            est = map_outcome("pwm", triple, row) if np.isfinite(triple).all() else None
-            if not isinstance(est, GevParams) or any(isinstance(cell, ValueError) for cell in cells):
-                failures += 1
-                continue
-            p_rows.append([res.p_value for res in cells])
-            est_rows.append([est.mu, est.sigma, est.xi])
-    if not p_rows:
+        batches = run_batch(jittered, configs)
+        ok = np.isfinite(triples).all(axis=1) & params_ok_rows(params)
+        ok &= np.all([batch.reason == Reason.OK for batch in batches], axis=0)
+        p_rows.append(np.column_stack([batch.p_value[ok] for batch in batches]))
+        est_rows.append(params[ok])
+    p_arr = np.concatenate(p_rows)
+    e_arr = np.concatenate(est_rows)
+    if not len(p_arr):
         raise DataError("every jittered replicate failed; series too short or degenerate")
-    p_arr = np.asarray(p_rows)
-    e_arr = np.asarray(est_rows)
     targets = [cfg.target for cfg in configs]
     return DetieReport(
         n=values.size,
         n_distinct=count_distinct(values),
         tie_step=tie_step(values),
         replications=replications,
-        failures=failures,
+        failures=replications - len(p_arr),
         p_env={t: (float(p_arr[:, j].min()), float(p_arr[:, j].max())) for j, t in enumerate(targets)},
         est_env={t: (float(e_arr[:, j].min()), float(e_arr[:, j].max())) for j, t in enumerate(("mu", "sigma", "xi"))},
     )

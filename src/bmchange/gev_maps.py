@@ -255,6 +255,12 @@ def map_outcome(family_tag: str, m, row: np.ndarray):
         return exc
 
 
+def params_ok_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of :func:`approx_map_rows` that :func:`map_outcome` turns into
+    GevParams: finite, with a positive scale."""
+    return np.isfinite(rows).all(axis=1) & (rows[:, 1] > 0.0)
+
+
 def pwm_to_gev_approx(m) -> GevParams:
     return GevParams(*_approx_one("pwm", m)[0].tolist())
 

@@ -62,6 +62,14 @@ class WeightFamily:
     tag: str
     default_gamma: float
 
+    def resolve_gamma(self, gamma: float | None) -> float:
+        """The plotting-position offset: ``gamma``, or the family's default
+        when None.  The log weights need every position j + gamma positive."""
+        gamma = self.default_gamma if gamma is None else gamma
+        if self.tag == "gpwm" and 1.0 + gamma <= 0.0:
+            raise DataError("log-weight moments need strictly positive ecdf values; use gamma >= 0")
+        return gamma
+
     def nu_matrix(self, u: np.ndarray) -> np.ndarray:
         """(len(u), 3) matrix of nu_i(u)."""
         u = np.asarray(u, dtype=float)
@@ -131,12 +139,8 @@ def ecdf(sample, x: float, gamma: float) -> float:
 
 def position_numerators(n: int, family: WeightFamily, gamma: float | None) -> np.ndarray:
     """j + gamma for ranks j = 1..n: the plotting positions of a sample of
-    size k are (j + gamma)/k.  gamma None means the family's default; the
-    log weights need every position positive."""
-    gamma = family.default_gamma if gamma is None else gamma
-    if family.tag == "gpwm" and 1.0 + gamma <= 0.0:
-        raise DataError("log-weight moments need strictly positive ecdf values; use gamma >= 0")
-    return np.arange(1, n + 1) + gamma
+    size k are (j + gamma)/k, gamma as :meth:`WeightFamily.resolve_gamma` takes it."""
+    return np.arange(1, n + 1) + family.resolve_gamma(gamma)
 
 
 def full_sample_rows(values: np.ndarray, estimator: Estimator, family: WeightFamily = PWM, gamma: float | None = None):
@@ -234,7 +238,7 @@ def _moments_from_sums(sums: np.ndarray, k, origin, estimator: Estimator, family
 def beta_hat(sample, family: WeightFamily = PWM, gamma: float | None = None) -> MomentTriple:
     """Plotting-position moment estimator over the whole sample; gamma None
     means the family's default."""
-    gamma = family.default_gamma if gamma is None else gamma
+    gamma = family.resolve_gamma(gamma)
     m = full_sample_rows(as_sample(sample), Estimator.BETA_HAT, family, gamma)
     return MomentTriple(*m, family=family, estimator=Estimator.BETA_HAT, gamma=gamma)
 

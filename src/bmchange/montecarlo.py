@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import BASELINES, run_baselines
-from .cusum import Family, TestConfig, family_suite, run_batch
+from .cusum import BatchResult, Family, Reason, TestConfig, family_suite, run_batch
 from .distributions import (
     AbsStudentTDist,
     DataError,
     ExponentialDist,
-    FeasibilityError,
     GevDist,
     GevParams,
     GpdDist,
@@ -259,30 +258,30 @@ def replicate_rng(scenario: Scenario, i: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([scenario.master_seed, key, i]))
 
 
-def _outcome(cell, level: float):
-    """(rejected, skipped_splits, failed) of one test on one replicate; a
-    test that cannot produce a decision counts as failed, never as a
-    rejection."""
-    if isinstance(cell, (FeasibilityError, DataError)):
-        return (False, 0, True)
-    return (cell.p_value < level, len(cell.skipped_k), False)
+def _totals(batch: BatchResult, level: float) -> list:
+    """Rejections, skipped splits and failures of one test over a chunk's
+    replicates.  A replicate without a decision is a failure, never a
+    rejection, and skips no split."""
+    ok = batch.reason == Reason.OK
+    return [np.count_nonzero(ok & (batch.p_value < level)), np.count_nonzero(~batch.valid[ok]),
+            np.count_nonzero(~ok)]
 
 
 def _run_chunk(args):
     """Replicates start..stop-1: each draws its own sample, every test runs
     on that sample, and the tests run over all the chunk's samples at once.
 
-    Returns one list of per-test (rejected, skipped_splits, failed) triples
-    per replicate, baselines last.
+    Returns a (tests, 3) array of the chunk's totals (see ``_totals``),
+    baselines last.
     """
     scenario, start, stop = args
     samples = np.stack(
         [scenario.generator.generate(scenario.n, replicate_rng(scenario, i)) for i in range(start, stop)]
     )
-    cells = run_batch(samples, list(scenario.tests))
+    batches = run_batch(samples, list(scenario.tests))
     if scenario.include_baselines:
-        cells = [row + extra for row, extra in zip(cells, run_baselines(samples))]
-    return [[_outcome(cell, scenario.level) for cell in row] for row in cells]
+        batches += run_baselines(samples)
+    return np.array([_totals(batch, scenario.level) for batch in batches])
 
 
 @dataclass(frozen=True)
@@ -368,16 +367,8 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> SimReport:
             chunks = list(pool.map(_run_chunk, args))
     else:
         chunks = [_run_chunk(a) for a in args]
-    rows = [row for chunk in chunks for row in chunk]
     names = scenario.test_names()
-    rejections = dict.fromkeys(names, 0)
-    skipped = dict.fromkeys(names, 0)
-    failures = dict.fromkeys(names, 0)
-    for row in rows:
-        for name, (rej, n_skip, failed) in zip(names, row):
-            rejections[name] += int(rej)
-            skipped[name] += n_skip
-            failures[name] += int(failed)
+    rejections, skipped, failures = (dict(zip(names, totals)) for totals in sum(chunks).T.tolist())
     return SimReport(
         scenario=scenario,
         rejections=rejections,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmchange.baselines import mean_cusum, run_baselines, variance_cusum
+from bmchange.cusum import batch_cell
 from bmchange.distributions import DataError, kolmogorov_cdf
 
 
@@ -78,10 +79,11 @@ def test_run_baselines_match_each_row_alone(rows, n, r, seed, constant, not_fini
         x[0] = 1.5
     if not_finite:
         x[-1, 0] = np.inf
-    cells = run_baselines(x, r)
-    assert len(cells) == rows
-    for row, row_cells in zip(x, cells):
-        for fn, cell in zip((mean_cusum, variance_cusum), row_cells):
+    batches = run_baselines(x, r)
+    assert [batch.reason.shape for batch in batches] == [(rows,)] * 2
+    for i, row in enumerate(x):
+        for fn, name, batch in zip((mean_cusum, variance_cusum), ("mean", "variance"), batches):
+            cell = batch_cell(batch, i, n, name, r)
             alone = _alone(fn, row, r)
             if isinstance(alone, Exception):
                 assert (type(cell), str(cell)) == (type(alone), str(alone))

@@ -96,6 +96,13 @@ def test_cmd_test_tiny_scale(runner, tmp_path, gev_file, family):
         assert b["statistic"] == np.ldexp(a["statistic"], units)
 
 
+@pytest.mark.parametrize("command", ["test", "detie"])
+def test_cmd_bad_trim_exit_2(runner, gev_file, command):
+    res = runner.invoke(main, [command, str(gev_file), "--r", "0"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.splitlines() == ["error: trim r must be at least 1"]
+
+
 def test_cmd_test_missing_file(runner):
     res = runner.invoke(main, ["test", "/nonexistent/series.csv"])
     assert res.exit_code == 2
@@ -205,6 +212,17 @@ def test_cmd_simulate_scenario(runner, tmp_path):
     body = json.loads(res.stdout)
     assert body["scenario"]["master_seed"] == 2
     assert "pwm-t:mu" in body["results"]
+
+
+def test_cmd_simulate_scenario_bad_gamma_exit_2(runner, tmp_path):
+    spec = json.loads(_scenario_file(tmp_path).read_text())
+    spec["tests"] = [{"family": "gpwm", "gamma": -1.0}]
+    f = tmp_path / "gamma.json"
+    f.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["simulate", "--scenario", str(f), "--reps", "5"])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: invalid scenario (log-weight moments need strictly positive ecdf values")
 
 
 def test_cmd_simulate_table_reduced(runner):

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from bmchange.cusum import Family, TestConfig
-from bmchange.distributions import DataError, GevParams, GevDist
+from bmchange.baselines import run_baselines
+from bmchange.cusum import Family, Reason, TestConfig, family_suite, run_batch
+from bmchange.distributions import AbsStudentTDist, DataError, GevParams, GevDist
 from bmchange.montecarlo import (
     CHUNK,
     BlockMaxGen,
@@ -111,11 +113,31 @@ def test_chunk_boundaries_do_not_move_replicates():
         reps=70,
         tests=[TestConfig(family=Family.PWM_T, target="xi"), TestConfig(family=Family.GPWM_S, target="mu")],
     )
-    whole = _run_chunk((s, 0, 70))
-    assert len(whole) == 70
+    # a chunk's totals are the sums of its replicates' own, wherever it
+    # starts; at level 0.5 about half of the replicates reject
+    s = dataclasses.replace(s, level=0.5)
+    singles = [_run_chunk((s, i, i + 1)) for i in range(70)]
+    assert _run_chunk((s, 0, 70)).tolist() == sum(singles).tolist()
     for bounds in ((0, 32, 64, 70), (0, 1, 5, 69, 70)):
-        pieces = [row for lo, hi in zip(bounds, bounds[1:]) for row in _run_chunk((s, lo, hi))]
-        assert pieces == whole
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert _run_chunk((s, lo, hi)).tolist() == sum(singles[lo:hi]).tolist()
+
+
+def test_failures_count_the_replicates_without_a_decision():
+    s = Scenario(
+        name="short",
+        n=8,
+        generator=NullGen(AbsStudentTDist(0.5)),
+        tests=tuple(family_suite(Family.PWM_S, r=3) + family_suite(Family.GPWM_S, r=3)),
+        replications=CHUNK + 6,
+        include_baselines=True,
+    )
+    report = run_scenario(s)
+    samples = np.stack([s.generator.generate(s.n, replicate_rng(s, i)) for i in range(s.replications)])
+    batches = run_batch(samples, list(s.tests)) + run_baselines(samples)
+    no_decision = [int(np.count_nonzero(batch.reason != Reason.OK)) for batch in batches]
+    assert [report.failures[name] for name in s.test_names()] == no_decision
+    assert any(0 < count < s.replications for count in no_decision)
 
 
 def test_simulate_jobs_identical_with_partial_chunk(tmp_path):
