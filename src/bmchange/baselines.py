@@ -53,7 +53,7 @@ def run_baselines(samples, r: int = 10) -> list[BatchResult]:
 def _one(sample, r: int, name: str) -> TestResult:
     values = as_sample(sample)
     batch = _batch(values[None], np.zeros(1, np.int8), r, name)
-    return _raise_if_error(batch_cell(batch, 0, values.size, name, r))
+    return _raise_if_error(batch_cell(batch, 0, values.size, name=name, r=r))
 
 
 def mean_cusum(sample, r: int = 10) -> TestResult:

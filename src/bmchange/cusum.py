@@ -157,18 +157,16 @@ class Reason(enum.IntEnum):
     DEGENERATE_VARIANCE = 9, DataError, "degenerate variance estimate (near-constant sample?)"
     ZERO_VARIANCE = 10, DataError, "degenerate sample: zero variance"  # the baselines' check
 
-
-def _reason_error(code: int, r: int = 0, family: Family | None = None, triple=None) -> ValueError:
-    """The exception of reason ``code`` for a test with trim r of ``family``;
-    ``triple`` is the row's moment triple, which the map-domain messages show."""
-    reason = Reason(code)
-    detail = None
-    if reason in (Reason.CANNOT_RECENTER, Reason.OFF_DOMAIN):
-        tag = _FAMILY_SETUP[family][1].tag
-        detail = map_outcome(tag, triple, approx_map_rows(tag, triple[None])[0])
-    exc = reason.kind(reason.message.format(two_r=2 * r, family=family and family.value, detail=detail))
-    exc.__cause__ = detail
-    return exc
+    def error(self, r: int = 0, family: Family | None = None, triple=None) -> ValueError:
+        """The exception of this reason for a test with trim r of ``family``;
+        ``triple`` is the row's moment triple, which the map-domain messages show."""
+        detail = None
+        if self in (Reason.CANNOT_RECENTER, Reason.OFF_DOMAIN):
+            tag = _FAMILY_SETUP[family][1].tag
+            detail = map_outcome(tag, triple, approx_map_rows(tag, triple[None])[0])
+        exc = self.kind(self.message.format(two_r=2 * r, family=family and family.value, detail=detail))
+        exc.__cause__ = detail
+        return exc
 
 
 def fail_rows(reason: np.ndarray, failed, code: Reason) -> None:
@@ -186,10 +184,10 @@ class BatchResult(NamedTuple):
     argmax_k: np.ndarray    # (R,) split of the maximum
     valid: np.ndarray       # (R, len(ks)) splits where both sides are feasible
     ks: np.ndarray          # splits r..n-r
-    left: np.ndarray | None   # (R, 3) side estimates at the maximum, in data units
-    right: np.ndarray | None
     reason: np.ndarray      # (R,) int8 Reason codes
-    triples: np.ndarray | None  # (R, 3) unit-scaled full-sample moments
+    left: np.ndarray | None = None   # (R, 3) side estimates at the maximum, in data units
+    right: np.ndarray | None = None
+    triples: np.ndarray | None = None  # (R, 3) unit-scaled full-sample moments
 
 
 def failed_batch(reason: np.ndarray) -> BatchResult:
@@ -197,8 +195,7 @@ def failed_batch(reason: np.ndarray) -> BatchResult:
     holds each row's failure."""
     rows = reason.size
     nan = np.full(rows, np.nan)
-    return BatchResult(nan, nan, nan, np.zeros(rows, int), np.zeros((rows, 0), bool), np.arange(0),
-                       None, None, reason, None)
+    return BatchResult(nan, nan, nan, np.zeros(rows, int), np.zeros((rows, 0), bool), np.arange(0), reason)
 
 
 def _full_sample_rows(values: np.ndarray, config: TestConfig) -> np.ndarray:
@@ -219,17 +216,12 @@ def _recenter_rows(values: np.ndarray, config: TestConfig, reason: np.ndarray):
     return values - np.where(ok, params[:, 0], 0.0)[:, None], triples
 
 
-def _raise_for(reason: np.ndarray, config: TestConfig, triples=None) -> None:
-    """Raise the one-series error of the first row's reason, if it has one."""
-    if reason[0]:
-        raise _reason_error(reason[0], config.r, config.family, None if triples is None else triples[0])
-
-
 def recenter(sample, config: TestConfig) -> np.ndarray:
     """Subtract the full-sample location estimate of the config's family."""
     reason = np.zeros(1, np.int8)
     values, triples = _recenter_rows(as_sample(sample)[None], config, reason)
-    _raise_for(reason, config, triples)
+    if reason[0]:
+        raise Reason(reason[0]).error(config.r, config.family, triples[0])
     return values[0]
 
 
@@ -343,8 +335,8 @@ def statistic(sample, config: TestConfig):
     """
     values = as_sample(sample)
     batch = _test_rows(_family_group(values[None], config, False, np.zeros(1, np.int8)), config, values.size)
-    if batch.reason[0] <= Reason.NO_SPLIT:  # the later checks are the variance's
-        _raise_for(batch.reason, config)
+    if Reason.OK < batch.reason[0] <= Reason.NO_SPLIT:  # the later checks are the variance's
+        raise batch_cell(batch, 0, values.size, config)
     skipped = tuple(batch.ks[~batch.valid[0]].tolist())
     return float(batch.statistic[0]), int(batch.argmax_k[0]), skipped
 
@@ -389,9 +381,11 @@ def sigma_hat(sample, config: TestConfig) -> float:
     """Plug-in estimate of the asymptotic standard deviation of the statistic."""
     values = as_sample(sample)
     group = _family_group(values[None], config, False, np.zeros(1, np.int8))
-    _raise_for(group.reason, config)
+    if group.reason[0]:  # a failure before any split needs no triple
+        raise Reason(group.reason[0]).error(config.r)
     sd = _sd_rows(group, config, values.size, group.reason)
-    _raise_for(group.reason, config, group.triples)
+    if group.reason[0]:
+        raise Reason(group.reason[0]).error(config.r, config.family, group.triples[0])
     return float(np.ldexp(sd[0], group.exponent[0] * _DATA_UNITS[TARGETS.index(config.target)]))
 
 
@@ -408,16 +402,14 @@ def _groups(configs: list[TestConfig]) -> list[list[int]]:
     return list(by_key.values())
 
 
-def studentize(stats: SplitMax, sd: np.ndarray, ks: np.ndarray, exponent: np.ndarray, reason: np.ndarray,
-               triples=None, sides=(None, None)) -> BatchResult:
+def studentize(stats: SplitMax, sd: np.ndarray, ks: np.ndarray, exponent: np.ndarray,
+               reason: np.ndarray) -> BatchResult:
     """The record of one test: per row the p-value kolmogorov(statistic / sd),
     with statistic and sd reported times 2^exponent, in data units.  ``sd``
-    is 1 on the rows that ``reason`` fails; ``sides`` are the (R, 3) left
-    and right estimates at the maximum, in data units."""
+    is 1 on the rows that ``reason`` fails."""
     with np.errstate(over="ignore"):  # a squared-unit statistic of data near 1e300 is not finite
         stat_units, sd_units = np.ldexp(stats.value, exponent), np.ldexp(sd, exponent)
-    return BatchResult(stat_units, sd_units, kolmogorov(stats.value / sd), ks[stats.index], stats.valid, ks,
-                       *sides, reason, triples)
+    return BatchResult(stat_units, sd_units, kolmogorov(stats.value / sd), ks[stats.index], stats.valid, ks, reason)
 
 
 def _test_rows(group: _Group, config: TestConfig, n: int) -> BatchResult:
@@ -431,16 +423,20 @@ def _test_rows(group: _Group, config: TestConfig, n: int) -> BatchResult:
     sd = _sd_rows(group, config, n, reason)
     at = (np.arange(reason.size), stats.index)
     exponent = group.exponent[:, None] * _DATA_UNITS
-    sides = [np.ldexp(side[at], exponent) for side in (group.left, group.right)]
-    return studentize(stats, sd, group.ks, exponent[:, col], reason, group.triples, sides)
+    left, right = (np.ldexp(side[at], exponent) for side in (group.left, group.right))
+    batch = studentize(stats, sd, group.ks, exponent[:, col], reason)
+    return batch._replace(left=left, right=right, triples=group.triples)
 
 
-def batch_cell(batch: BatchResult, row: int, n: int, name: str, r: int, config: TestConfig | None = None):
+def batch_cell(batch: BatchResult, row: int, n: int, config: TestConfig | None = None, *, name: str = "", r: int = 0):
     """One row of a batch record as the one-series functions give it: the
-    TestResult, or the exception that the test raises on that row alone."""
+    TestResult, or the exception that the test raises on that row alone.
+    A baseline, which has no config, passes its name and trim r."""
+    if config is not None:
+        name, r = config.name, config.r
     if batch.reason[row]:
         triple = None if batch.triples is None else batch.triples[row]
-        return _reason_error(batch.reason[row], r, None if config is None else config.family, triple)
+        return Reason(batch.reason[row]).error(r, config and config.family, triple)
     left = right = None
     if batch.left is not None:
         try:
@@ -493,7 +489,7 @@ def run_suite(sample, configs: list[TestConfig]) -> list[TestResult]:
     """
     values = as_sample(sample)
     batches = run_batch(values[None], configs)
-    cells = [batch_cell(b, 0, values.size, cfg.name, cfg.r, cfg) for b, cfg in zip(batches, configs)]
+    cells = [batch_cell(b, 0, values.size, cfg) for b, cfg in zip(batches, configs)]
     for idxs in _groups(configs):
         for i in idxs:
             _raise_if_error(cells[i])

@@ -83,7 +83,7 @@ def test_run_baselines_match_each_row_alone(rows, n, r, seed, constant, not_fini
     assert [batch.reason.shape for batch in batches] == [(rows,)] * 2
     for i, row in enumerate(x):
         for fn, name, batch in zip((mean_cusum, variance_cusum), ("mean", "variance"), batches):
-            cell = batch_cell(batch, i, n, name, r)
+            cell = batch_cell(batch, i, n, name=name, r=r)
             alone = _alone(fn, row, r)
             if isinstance(alone, Exception):
                 assert (type(cell), str(cell)) == (type(alone), str(alone))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bmchange.baselines import run_baselines
+from bmchange.baselines import BASELINES, run_baselines
 from bmchange.cusum import (
     Family,
     Reason,
@@ -186,14 +186,21 @@ def test_config_rejects_gamma_the_log_weights_cannot_take():
     TestConfig(family=Family.GPWM_S, gamma=-0.5)
 
 
-def test_recenter_overflowing_moments():
-    # The one input known to give TRIPLE_NOT_FINITE: run_suite scales each
-    # row to numbers near 1 first, recenter takes the data as given.
-    x = np.linspace(-0.7, 0.85, 30) * 1.7e308
+@pytest.mark.parametrize("family", [Family.PWM_S, Family.GPWM_S])
+@pytest.mark.parametrize("recenter_first", [True, False])
+def test_moments_overflow_with_a_huge_offset(family, recenter_first):
+    # Plotting positions near 1e160 overflow the weights, so the full-sample
+    # moment triple is not finite at any data scale.
+    x = sample_gev(40, GevParams(0, 1, 0.1), np.random.default_rng(0))
+    cfg = TestConfig(family=family, target="xi", gamma=1e160, recenter=recenter_first)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DataError, match="^moment triple entries must be finite$"):
-            recenter(x, TestConfig())
-    run_suite(x, family_suite(Family.PWM_T))
+        batch = run_batch(x[None], [cfg])[0]
+        assert batch.reason.tolist() == [Reason.TRIPLE_NOT_FINITE]
+        cell = batch_cell(batch, 0, x.size, cfg)
+        assert (type(cell), str(cell)) == (DataError, "moment triple entries must be finite")
+        for fn in (run_test, statistic, sigma_hat, recenter):
+            with pytest.raises(DataError, match="^moment triple entries must be finite$"):
+                fn(x, cfg)
 
 
 def test_sample_too_short():
@@ -323,12 +330,12 @@ def test_run_batch_matches_each_row_alone(tied_rows, shuffle):
     batches = run_batch(np.array(rows), configs)
     assert [batch.reason.shape for batch in batches] == [(len(rows),)] * len(configs)
     seen = set(np.concatenate([batch.reason for batch in batches]).tolist())
-    # Not required: the two that hang on rounding, the moments of a finite
-    # row (which stay finite after unit scaling), and the baselines' reason.
+    # Not required: the two that hang on rounding, the moments that overflow
+    # (see test_moments_overflow_with_a_huge_offset), and the baselines' reason.
     rounding = {Reason.OFF_DOMAIN, Reason.DEGENERATE_VARIANCE}
     assert seen >= set(Reason) - rounding - {Reason.OK, Reason.TRIPLE_NOT_FINITE, Reason.ZERO_VARIANCE}
     for i, sample in enumerate(rows):
-        row_cells = [batch_cell(b, i, n, cfg.name, cfg.r, cfg) for b, cfg in zip(batches, configs)]
+        row_cells = [batch_cell(b, i, n, cfg) for b, cfg in zip(batches, configs)]
         for cfg, cell in zip(configs, row_cells):
             alone = _alone(sample, cfg)
             if isinstance(alone, Exception):
@@ -351,9 +358,12 @@ _EVERY_TEST = [cfg for family in Family for cfg in family_suite(family)]
 
 
 def _p_values(x):
-    """p-value of every moment test and both baselines on x, or the failure."""
+    """p-value of every moment test and both baselines on x, or the failure
+    (its type and message)."""
     batches = run_batch(x[None], _EVERY_TEST) + run_baselines(x[None])
-    return [batch.p_value[0] if batch.reason[0] == Reason.OK else batch.reason[0] for batch in batches]
+    cells = [batch_cell(b, 0, x.size, cfg) for b, cfg in zip(batches, _EVERY_TEST)]
+    cells += [batch_cell(b, 0, x.size, name=name, r=10) for b, name in zip(batches[len(_EVERY_TEST):], BASELINES)]
+    return [cell.p_value if isinstance(cell, TestResult) else repr(cell) for cell in cells]
 
 
 @given(
